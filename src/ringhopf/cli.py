@@ -280,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="retry with -lambda if no cycle is found",
     )
-    p.add_argument("--seed", type=int, default=None, help="accepted for reproducible pipelines")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("spectrum", help="eigenvalues of a ring or adjacency matrix")

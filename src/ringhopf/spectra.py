@@ -188,9 +188,13 @@ def _aberth_roots(
                 if abs(step) <= 1.0:
                     z[k] = z[k] - step
     residuals = [abs(_eval_p_dp_at(a, c, zk)[0]) for zk in z]
-    if max(residuals) > residual_target:
+    # NaN compares false either way: `r > target` would let it through
+    failed = [r for r in residuals if not r <= residual_target]
+    if failed:
+        worst = max(failed, key=lambda r: math.inf if math.isnan(r) else r)
         raise RootFindingError(
-            f"root residuals {residuals} exceed {residual_target}"
+            f"worst root residual {worst:.3e} exceeds the target "
+            f"{residual_target:.3e} ({len(failed)} of {n} roots)"
         )
     return z
 

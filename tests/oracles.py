@@ -126,6 +126,35 @@ def imag_axis_omegas(a) -> list[float]:
     return sorted(out)
 
 
+def rk4_states(a, b, g, lam: float, x0, h: float, n_steps: int) -> np.ndarray:
+    """Every state of fixed-step classical RK4 on numpy arrays for
+    dx_j/dt = ((a_j + lam) x_j + b_j x_{j+1}) + g_j x_j^3.
+
+    Cubes come from the C library's pow, one element at a time: numpy's
+    own `**` may run a SIMD pow that rounds about 3% of cubes differently
+    in the last bit (numpy 2.4 on AVX-512), and a bitwise comparison
+    would then test numpy's pow instead of the stepper.
+    """
+    shifted = np.asarray(a, dtype=float) + lam
+    b = np.asarray(b, dtype=float)
+    g = np.asarray(g, dtype=float)
+
+    def rhs(y):
+        cube = np.array([v**3 for v in y.tolist()])
+        return shifted * y + b * np.roll(y, -1) + g * cube
+
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for _ in range(n_steps):
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(x)
+    return np.array(states)
+
+
 def ring_with_product(n: int, a, c: float, rng) -> RingParams:
     """A ring with the given diagonal and signed coupling product c."""
     sign = (-1.0) ** (n + 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ringhopf.model import AdmissibleOdeFamily
+from ringhopf.model import AdmissibleOdeFamily, RingParams
 from ringhopf.phases import phase_shifts
 from ringhopf.simulate import (
     DivergenceError,
@@ -44,6 +44,33 @@ def test_integrate_preserves_origin():
     fam = AdmissibleOdeFamily(oracles.REFERENCE_RING, lam=0.05)
     traj = integrate(fam, np.zeros(3), t_end=1.0, h=0.01)
     assert np.all(traj.states == 0.0)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_integrate_matches_numpy_rk4_bitwise(n):
+    rng = np.random.default_rng(n)
+    ring = RingParams(n, tuple(rng.uniform(-1.0, 0.5, n)), tuple(rng.uniform(-1.0, 1.0, n)))
+    fam = AdmissibleOdeFamily(ring, cubic=tuple(rng.uniform(-1.5, -0.5, n)))
+    x0 = rng.uniform(-0.8, 0.8, n)
+    traj = integrate(fam, x0, t_end=5.0, h=0.01, lam=0.07)
+    ref = oracles.rk4_states(ring.a, ring.b, fam.cubic, 0.07, x0, 0.01, 500)
+    assert traj.states.shape == ref.shape
+    assert np.array_equal(traj.states, ref)
+
+
+@pytest.mark.parametrize(
+    "ring, cubic, x0",
+    [
+        # the cube of a stage value overflows
+        (oracles.REFERENCE_RING, (-1.0, -1.0, -1.0), (1e100, -1e100, 1e100)),
+        # a coupling term overflows to inf, and 0 * inf gives NaN
+        (RingParams(3, (0.0, 0.0, 0.0), (1e300, 1e300, 1e300)), (0.0, 0.0, 0.0), (1e10, 1e10, 1e10)),
+    ],
+)
+def test_overflowing_step_diverges_at_first_step(ring, cubic, x0):
+    fam = AdmissibleOdeFamily(ring, cubic=cubic)
+    with pytest.raises(DivergenceError, match=r"diverged at t=0\.5$"):
+        integrate(fam, np.array(x0), t_end=5.0, h=0.5)
 
 
 def test_rk4_is_fourth_order():
@@ -108,6 +135,16 @@ def test_limit_cycle_period_near_hopf(reference_cycle):
     assert reference_cycle.period == pytest.approx(TWO_PI, rel=0.2)
     assert reference_cycle.lam == 0.1
     assert all(a > 0 for a in reference_cycle.amplitudes)
+
+
+def test_default_settle_hunt_finds_cycle(reference_cycle):
+    # the cubic lengthens the period to 7.08 against the linear 2 pi, so
+    # the tail sized from 2 pi holds 9 cycles until it is continued
+    fam = AdmissibleOdeFamily(oracles.REFERENCE_RING)
+    m = find_limit_cycle(fam, 0.1)
+    assert m.period == pytest.approx(reference_cycle.period, rel=1e-8)
+    for got, want in zip(m.phase_diffs, reference_cycle.phase_diffs):
+        assert circular_distance(got, want) < 1e-5
 
 
 def test_limit_cycle_phases_match_prediction(reference_cycle):

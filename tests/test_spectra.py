@@ -8,6 +8,7 @@ import pytest
 import oracles
 from ringhopf.model import AdjacencyMatrix, RingParams
 from ringhopf.spectra import (
+    RootFindingError,
     ZeroCouplingError,
     adjacency_spectrum,
     char_poly,
@@ -77,6 +78,19 @@ def test_random_rings_match_dense_oracle():
         ours = eigenvalues(r).eigenvalues
         ref = oracles.dense_eigvals(r)
         assert max(abs(x - y) for x, y in zip(ours, ref)) < 1e-8
+
+
+def test_overflowing_start_raises_or_matches_dense_oracle():
+    # at n = 40 the start circle of radius 1 + max|dense coefficient| makes
+    # prod(a_j - z) overflow, and every residual comes back NaN
+    rng = np.random.default_rng(0)
+    r = RingParams(40, tuple(rng.uniform(-3, 3, 40)), tuple(rng.uniform(-3, 3, 40)))
+    try:
+        ours = eigenvalues(r).eigenvalues
+    except RootFindingError:
+        return
+    ref = oracles.dense_eigvals(r)
+    assert max(min(abs(x - y) for y in ours) for x in ref) < 1e-6
 
 
 def test_spectrum_invariants_trace_and_det():
