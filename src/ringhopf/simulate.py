@@ -1,22 +1,26 @@
 """ODE integration near a Hopf point and limit-cycle phase measurement.
 
 The integrator is classical fixed-step RK4: trajectories here are smooth,
-low-dimensional and short, and a fixed grid makes the Fourier windows an
-exact number of steps. Each step runs on Python floats, not numpy arrays:
-at the ring sizes simulated here a numpy call costs more than the
-arithmetic it does. One step of a 3-node ring takes about 9 us on floats
-against 33-36 us on arrays of length 3; the float step grows by about
-1.4 us per node and costs as much as the array step near n = 30 (between
-25 and 40 over repeated runs on a shared 2-core x86-64 machine, numpy 2.4,
-CPython 3.11). Phase differences are measured from the fundamental
-Fourier coefficients c_j over a window of whole periods; the reported
-Delta_j = arg(c_j / c_{j+1}) uses the same orientation as the predicted
-phase shifts (node j relative to node j+1).
+low-dimensional and long (the cycle attracts only at rate 2|lambda| near
+the Hopf point), and a fixed grid makes the Fourier windows an exact number
+of steps. Node j reads only x_j and x_{j+1}, so the whole step loop for a
+ring of n nodes is generated once as straight-line Python source over
+local floats, compiled, and cached by n; the coefficients are arguments,
+so one kernel serves every family of that size. A step then makes no
+function call and builds no list: one step takes about 3 us at n = 3,
+6-8 us at n = 7, 27-30 us at n = 30 and 35-37 us at n = 40, and compiling
+a kernel, once per size and process, about 1 ms at n = 3 and 8 ms at
+n = 40 (CPython 3.11 on a shared 2-core x86-64 machine).
+Phase differences are measured from the fundamental Fourier coefficients
+c_j over a window of whole periods; the reported Delta_j = arg(c_j / c_{j+1})
+uses the same orientation as the predicted phase shifts (node j relative
+to node j+1).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +59,58 @@ class Trajectory:
         return len(self.times) - 1
 
 
+@functools.cache
+def _rk4_kernel(n: int):
+    """The RK4 step loop for rings of n nodes, compiled from generated source.
+
+    rk4(out, stop, h, limit, x_0..x_{n-1}, a_0.., b_0.., g_0..) steps the
+    state x from flat offset n of `out` up to `stop`, writing each state
+    after it passes the divergence check, and returns 0, or the number of
+    the step whose state left |x_j| <= limit (NaN included) or whose cube
+    overflowed. The operations and their order are those of the right-hand
+    side (a_j y_j + b_j y_{j+1}) + g_j y_j**3 and of the update
+    x + (h/6)(((k1 + 2 k2) + 2 k3) + k4), one float at a time.
+    """
+    nodes = range(n)
+
+    def stage(k, y):
+        return [
+            f"{k}_{j} = (a_{j} * {y}_{j} + b_{j} * {y}_{(j + 1) % n}) + g_{j} * {y}_{j}**3"
+            for j in nodes
+        ]
+
+    def move(step, k):
+        return [f"y_{j} = x_{j} + {step} * {k}_{j}" for j in nodes]
+
+    body = (
+        stage("k1", "x") + move("half", "k1")
+        + stage("k2", "y") + move("half", "k2")
+        + stage("k3", "y") + move("h", "k3")
+        + stage("k4", "y")
+        + [f"x_{j} = x_{j} + sixth * (((k1_{j} + 2 * k2_{j}) + 2 * k3_{j}) + k4_{j})" for j in nodes]
+        + ["if not (" + " and ".join(f"abs(x_{j}) <= limit" for j in nodes) + "):"]
+        + [f"    return i // {n}"]
+        + [f"out[i + {j}] = x_{j}" for j in nodes]
+    )
+    params = ", ".join(f"{v}_{j}" for v in "xabg" for j in nodes)
+    source = "\n".join(
+        [
+            f"def rk4(out, stop, h, limit, {params}):",
+            "    half = 0.5 * h",
+            "    sixth = h / 6.0",
+            "    try:",
+            f"        for i in range({n}, stop, {n}):",
+            *("            " + line for line in body),
+            "    except OverflowError:",  # float ** on a cube out of range
+            f"        return i // {n}",
+            "    return 0",
+        ]
+    )
+    namespace = {}
+    exec(compile(source, f"<rk4 kernel, n={n}>", "exec"), namespace)
+    return namespace["rk4"]
+
+
 def integrate(
     family: AdmissibleOdeFamily,
     x0,
@@ -63,47 +119,27 @@ def integrate(
     lam: float | None = None,
 ) -> Trajectory:
     """Classical RK4 with fixed step h from t=0 to (approximately) t_end."""
-    if h <= 0 or t_end <= 0:
-        raise ValueError("h and t_end must be positive")
     if lam is None:
         lam = family.lam
+    for name, value in (("t_end", t_end), ("h", h), ("lam", lam)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if h <= 0 or t_end <= 0:
+        raise ValueError(f"h and t_end must be positive, got h={h}, t_end={t_end}")
     n = family.base.n
     x = np.asarray(x0, dtype=float)
     if x.shape != (n,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be a finite state of length {n}")
     n_steps = int(round(t_end / h))
-    coef = list(zip((np.asarray(family.base.a) + lam).tolist(), family.base.b, family.cubic))
-
-    def rhs(y):
-        return [
-            (aj * yj + bj * yk) + gj * yj**3
-            for (aj, bj, gj), yj, yk in zip(coef, y, y[1:] + y[:1])
-        ]
-
-    half, sixth = 0.5 * h, h / 6.0
+    a = (np.asarray(family.base.a) + lam).tolist()
     states = np.empty((n_steps + 1, n))
     states[0] = x
-    out = memoryview(states.reshape(-1))
-    k = n
-    x = x.tolist()
-    try:
-        for i in range(n_steps):
-            k1 = rhs(x)
-            k2 = rhs([xj + half * kj for xj, kj in zip(x, k1)])
-            k3 = rhs([xj + half * kj for xj, kj in zip(x, k2)])
-            k4 = rhs([xj + h * kj for xj, kj in zip(x, k3)])
-            x = [
-                xj + sixth * (((q1 + 2 * q2) + 2 * q3) + q4)
-                for xj, q1, q2, q3, q4 in zip(x, k1, k2, k3, k4)
-            ]
-            for v in x:
-                if not abs(v) <= DIVERGENCE_NORM:  # NaN fails too
-                    raise OverflowError
-                out[k] = v
-                k += 1
-    except OverflowError:
-        # also raised by float ** when the cube of a stage value overflows
-        raise DivergenceError(f"trajectory diverged at t={(i + 1) * h:.6g}") from None
+    failed = _rk4_kernel(n)(
+        memoryview(states.reshape(-1)), n * (n_steps + 1), float(h), DIVERGENCE_NORM,
+        *x.tolist(), *a, *family.base.b, *family.cubic,
+    )
+    if failed:
+        raise DivergenceError(f"trajectory diverged at t={failed * h:.6g}")
     times = h * np.arange(n_steps + 1)
     return Trajectory(times=times, states=states, lam=lam, step=h)
 
@@ -115,6 +151,7 @@ class CycleMeasurement:
     amplitudes: tuple[float, ...]
     phase_diffs: tuple[float, ...]  # Delta_j = arg(c_j / c_{j+1}) in [0, 2*pi)
     lam: float
+    step: float  # the RK4 step h of the measured trajectory
 
     def to_dict(self) -> dict:
         return {
@@ -123,6 +160,7 @@ class CycleMeasurement:
             "amplitudes": list(self.amplitudes),
             "phase_diffs": list(self.phase_diffs),
             "lambda": self.lam,
+            "step": self.step,
         }
 
 
@@ -191,6 +229,7 @@ def measure_cycle(traj: Trajectory, min_cycles: int = 10, period_tol: float = 0.
         amplitudes=tuple(abs(c) for c in coeffs),
         phase_diffs=tuple(diffs),
         lam=traj.lam,
+        step=traj.step,
     )
 
 

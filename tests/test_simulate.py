@@ -1,6 +1,7 @@
 """Tests for RK4 integration, cycle measurement and phase comparison."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import oracles
 from ringhopf.model import AdmissibleOdeFamily, RingParams
 from ringhopf.phases import phase_shifts
 from ringhopf.simulate import (
+    DEFAULT_STEPS_PER_PERIOD,
+    DIVERGENCE_NORM,
     DivergenceError,
     NoCycleError,
     Trajectory,
@@ -40,6 +43,24 @@ def test_integrate_validates_arguments():
         integrate(fam, np.zeros(2), t_end=1.0, h=0.01)
 
 
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("t_end", {"t_end": math.inf}),
+        ("t_end", {"t_end": math.nan}),
+        ("h", {"h": math.inf}),
+        ("h", {"h": math.nan}),
+        ("lam", {"lam": math.nan}),
+        ("lam", {"lam": -math.inf}),
+    ],
+)
+def test_integrate_rejects_non_finite_arguments(name, kwargs):
+    fam = AdmissibleOdeFamily(oracles.REFERENCE_RING)
+    args = {"t_end": 1.0, "h": 0.01, **kwargs}
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {kwargs[name]}$"):
+        integrate(fam, np.zeros(3), **args)
+
+
 def test_integrate_preserves_origin():
     fam = AdmissibleOdeFamily(oracles.REFERENCE_RING, lam=0.05)
     traj = integrate(fam, np.zeros(3), t_end=1.0, h=0.01)
@@ -56,6 +77,36 @@ def test_integrate_matches_numpy_rk4_bitwise(n):
     ref = oracles.rk4_states(ring.a, ring.b, fam.cubic, 0.07, x0, 0.01, 500)
     assert traj.states.shape == ref.shape
     assert np.array_equal(traj.states, ref)
+
+
+@pytest.mark.parametrize("n", [4, 40])
+def test_integrate_matches_numpy_rk4_bitwise_per_family(n):
+    # two families of one size in a row: the kernel compiled for that size
+    # must take each family's coefficients, not keep the first one's
+    rng = np.random.default_rng(100 + n)
+    for lam in (0.07, -0.3):
+        ring = RingParams(n, tuple(rng.uniform(-1.0, 0.5, n)), tuple(rng.uniform(-1.0, 1.0, n)))
+        fam = AdmissibleOdeFamily(ring, cubic=tuple(rng.uniform(-1.5, -0.5, n)))
+        x0 = rng.uniform(-0.8, 0.8, n)
+        traj = integrate(fam, x0, t_end=2.0, h=0.01, lam=lam)
+        ref = oracles.rk4_states(ring.a, ring.b, fam.cubic, lam, x0, 0.01, 200)
+        assert np.array_equal(traj.states, ref)
+
+
+def test_late_divergence_names_first_flagged_step():
+    # linear growth at rates 0.1-0.6 until the weak cubics saturate the
+    # nodes near 4e6: the state first leaves DIVERGENCE_NORM hundreds of
+    # steps in, and every cube stays finite
+    ring = RingParams(4, (0.3, -0.2, 0.4, 0.1), (0.5, -0.4, 0.6, 0.3))
+    fam = AdmissibleOdeFamily(ring, cubic=(-1e-13, -2e-13, -5e-14, -1e-13))
+    x0, h, n_steps = np.array([0.1, -0.2, 0.3, 0.05]), 0.05, 1200
+    ref = oracles.rk4_states(ring.a, ring.b, fam.cubic, 0.2, x0, h, n_steps)
+    flagged = np.nonzero(~(np.abs(ref) <= DIVERGENCE_NORM).all(axis=1))[0]
+    i = flagged[0] - 1  # row i + 1 holds the state after step i
+    assert i >= 100
+    t = re.escape(f"{(i + 1) * h:.6g}")
+    with pytest.raises(DivergenceError, match=rf"diverged at t={t}$"):
+        integrate(fam, x0, t_end=n_steps * h, h=h, lam=0.2)
 
 
 @pytest.mark.parametrize(
@@ -135,6 +186,12 @@ def test_limit_cycle_period_near_hopf(reference_cycle):
     assert reference_cycle.period == pytest.approx(TWO_PI, rel=0.2)
     assert reference_cycle.lam == 0.1
     assert all(a > 0 for a in reference_cycle.amplitudes)
+
+
+def test_cycle_measurement_records_step(reference_cycle):
+    h = TWO_PI / DEFAULT_STEPS_PER_PERIOD  # omega = 1 on the reference ring
+    assert reference_cycle.step == pytest.approx(h, rel=1e-12)
+    assert reference_cycle.to_dict()["step"] == reference_cycle.step
 
 
 def test_default_settle_hunt_finds_cycle(reference_cycle):
