@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .hopf import NotAHopfPointError, hopf_conditions_3
 from .model import RingParams, cyclic_relabel, require_valid
-from .spectra import ZeroCouplingError, char_poly
+from .spectra import ZeroCouplingError, backward_error
 
 TWO_PI = 2 * math.pi
 SUM_TOL = 1e-8
@@ -103,7 +103,8 @@ def phase_shifts(
 
     `omega` is signed: a negative value selects the conjugate eigenvalue,
     and the resulting shifts satisfy theta_j(-w) = 2*pi - theta_j(w) mod 2*pi.
-    Unless `force` is given, i*omega must actually be an eigenvalue.
+    Unless `force` is given, i*omega must actually be an eigenvalue: its
+    backward error as a root of p may be at most `eigen_tol`.
     """
     require_valid(params)
     if omega == 0:
@@ -111,13 +112,12 @@ def phase_shifts(
     zero = [j for j, v in enumerate(params.b) if v == 0.0]
     if zero:
         raise ZeroCouplingError(f"b[{zero[0]}] = 0: phase shifts are undefined")
-    cp = char_poly(params)
     if not force:
-        residual = abs(cp.evaluate(1j * omega))
-        if residual > eigen_tol * max(1.0, cp.max_coefficient()):
+        eta = backward_error(params, 1j * omega)
+        if not eta <= eigen_tol:
             raise ValueError(
-                f"i*{omega} is not an eigenvalue (|p(i*omega)| = {residual:.3e}); "
-                "pass force=True for exploratory use"
+                f"i*{omega} is not an eigenvalue (backward error {eta:.3e} > "
+                f"{eigen_tol:.0e}); pass force=True for exploratory use"
             )
     omega_sign = 1 if omega > 0 else -1
     zero_tol = ZERO_TOL_FACTOR * max(1.0, max(abs(v) for v in params.a))

@@ -126,11 +126,14 @@ def integrate(
             raise ValueError(f"{name} must be finite, got {value}")
     if h <= 0 or t_end <= 0:
         raise ValueError(f"h and t_end must be positive, got h={h}, t_end={t_end}")
+    n_steps = t_end / h
+    if not math.isfinite(n_steps):
+        raise ValueError(f"t_end={t_end} and h={h} give {n_steps} steps")
+    n_steps = int(round(n_steps))
     n = family.base.n
     x = np.asarray(x0, dtype=float)
     if x.shape != (n,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be a finite state of length {n}")
-    n_steps = int(round(t_end / h))
     a = (np.asarray(family.base.a) + lam).tolist()
     states = np.empty((n_steps + 1, n))
     states[0] = x

@@ -4,9 +4,15 @@ The ring structure collapses the characteristic polynomial to
 
     p(lambda) = prod_j (a_j - lambda) + c,   c = (-1)^(n+1) b_1 ... b_n
 
-so p and p' are evaluated exactly in product form without expanding
-coefficients. Roots are found by Aberth-Ehrlich simultaneous iteration
-with Newton polishing; conjugate pairs are symmetrised so the spectrum of
+so p, p' and the componentwise backward error |p(z)| / (|c| +
+sum_j (|a_j| + |z|) prod_{i != j} |a_i - z|) come out of one product-form
+loop (Bini & Fiorentino, Numer. Algorithms 23, 2000), scale-free and with
+no dense coefficient. Aberth-Ehrlich iteration starts root k at
+a_k + |c|^(1/n) e^(2 pi i (k + 1/4)/n), inside the disks about the a_j
+that hold every root, and stops each root at the rounding floor of its
+backward error. The result is gated on that backward error and on the
+power sums sum z = sum a_j, sum z^2 = sum a_j^2; clusters are snapped onto
+the derivative root and conjugate pairs symmetrised, so the spectrum of
 the real polynomial is exactly self-conjugate.
 """
 
@@ -20,7 +26,9 @@ import numpy as np
 
 from .model import AdjacencyMatrix, RingParams, require_valid
 
-RESIDUAL_TOL = 1e-10
+RESIDUAL_TOL = 1e-10  # backward-error threshold of the gate
+FREEZE_TOL = 16 * 2.0**-52  # the rounding floor of the backward error
+POWER_SUM_TOL = 1e-6  # rounding moves the sums by about 1e-8, a lost root by a gap
 PAIR_TOL = 1e-8
 AXIS_TOL = 1e-8
 CLOSURE_TOL = 1e-8
@@ -28,7 +36,7 @@ EIGENVECTOR_RESIDUAL_TOL = 1e-9
 
 
 class RootFindingError(RuntimeError):
-    """The simultaneous root iteration failed to meet the residual tolerance."""
+    """The roots failed the backward-error gate or the power-sum check."""
 
 
 class ZeroCouplingError(ValueError):
@@ -61,6 +69,8 @@ class Spectrum:
     pair_tolerance: float
     tau: float
     omega: float | None
+    iterations: int = 0  # Aberth sweeps
+    backward_error: float = math.nan  # the worst root's
 
     @property
     def n(self) -> int:
@@ -84,6 +94,8 @@ class Spectrum:
             "pair_tolerance": self.pair_tolerance,
             "tau": self.tau,
             "omega": self.omega,
+            "iterations": self.iterations,
+            "backward_error": self.backward_error,
         }
 
 
@@ -116,100 +128,115 @@ def char_poly(params: RingParams) -> CharPoly:
     )
 
 
-def _eval_p_dp_at(a, c, z):
-    """p(z) and p'(z) at a single point, product form, pure Python."""
+def _eval_at(a, c, z):
+    """p(z), p'(z) and the backward error of z, product form, pure Python."""
     prod = 1.0 + 0.0j
     dp = 0.0j
+    mod = 1.0
+    scale = 0.0
+    az = abs(z)
     for v in a:
         d = v - z
         dp = dp * d - prod
         prod *= d
-    return prod + c, dp
+        ad = abs(d)
+        scale = scale * ad + (abs(v) + az) * mod
+        mod *= ad
+    return prod + c, dp, _backward_error(prod + c, scale + abs(c))
 
 
-def _aberth_roots(
-    a,
-    c: float,
-    coefficients,
-    residual_target: float,
-    max_iter: int = 500,
-):
-    """All roots of prod(a_j - z) + c by Aberth-Ehrlich simultaneous iteration.
+def _backward_error(p: complex, scale: float) -> float:
+    # a zero scale needs c = 0 and two vanishing factors, so p = 0 there;
+    # an overflow to inf or NaN reads as infinitely bad
+    eta = abs(p) / scale if scale else 0.0
+    return eta if eta == eta and scale < math.inf else math.inf
 
-    Pure Python complex arithmetic: the degrees here are small and tight
-    loops over machine complexes beat vectorised array overhead.
+
+def _gate(etas, threshold: float) -> str | None:
+    """Why the backward errors fail the gate, or None."""
+    failed = [e for e in etas if not e <= threshold]
+    if failed:
+        return (
+            f"worst backward error {max(failed):.3e} exceeds the threshold "
+            f"{threshold:.3e} ({len(failed)} of {len(etas)} roots)"
+        )
+    return None
+
+
+def backward_error(params: RingParams, z: complex) -> float:
+    """Componentwise backward error of z as a root of p, in the ring's a and c."""
+    return _eval_at(params.a, params.coupling_product(), complex(z))[2]
+
+
+def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
+    """All roots of prod(a_j - z) + c by Aberth-Ehrlich iteration, and the sweeps taken.
+
+    A root stops once its backward error is down to FREEZE_TOL. The power
+    sums catch a double root that took two approximations and left a
+    simple root out; a second start, turned by half a step, gets one try.
     """
     n = len(a)
-    if c == 0.0:
-        return [complex(v) for v in sorted(a)]
-    radius = 1.0 + max(abs(v) for v in coefficients)
-    center = sum(a) / n
-    z = [
-        center + radius * cmath.exp(2j * math.pi * (k + 0.25) / n)
-        for k in range(n)
-    ]
-    stop = 0.25 * residual_target
-    for _ in range(max_iter):
-        pv = []
-        dpv = []
-        worst = 0.0
-        for zk in z:
-            p, dp = _eval_p_dp_at(a, c, zk)
-            pv.append(p)
-            dpv.append(dp)
-            if abs(p) > worst:
-                worst = abs(p)
-        if worst <= stop:
-            break
-        max_corr = 0.0
-        new_z = list(z)
-        for k in range(n):
-            dp = dpv[k] if dpv[k] != 0 else 1e-300
-            w = pv[k] / dp
-            s = 0.0j
-            zk = z[k]
-            for j in range(n):
-                if j != k:
-                    s += 1.0 / (zk - z[j])
-            denom = 1.0 - w * s
-            corr = w / denom if denom != 0 else w
-            new_z[k] = zk - corr
-            if abs(corr) > max_corr:
-                max_corr = abs(corr)
-        z = new_z
-        if max_corr < 1e-14 * (1.0 + max(abs(v) for v in z)):
-            break
-    # Newton polish (no-op at exact roots; limited effect at multiple roots)
-    for _ in range(3):
-        for k in range(n):
-            p, dp = _eval_p_dp_at(a, c, z[k])
-            if dp != 0:
-                step = p / dp
-                if abs(step) <= 1.0:
-                    z[k] = z[k] - step
-    residuals = [abs(_eval_p_dp_at(a, c, zk)[0]) for zk in z]
-    # NaN compares false either way: `r > target` would let it through
-    failed = [r for r in residuals if not r <= residual_target]
-    if failed:
-        worst = max(failed, key=lambda r: math.inf if math.isnan(r) else r)
-        raise RootFindingError(
-            f"worst root residual {worst:.3e} exceeds the target "
-            f"{residual_target:.3e} ({len(failed)} of {n} roots)"
-        )
-    return z
+    radius = abs(c) ** (1.0 / n)
+    sweeps = 0
+    for turn in (0.25, 0.75):
+        start = [a[k] + radius * cmath.exp(2j * math.pi * (k + turn) / n) for k in range(n)]
+        z = list(start)
+        eta = [math.inf] * n
+        active = range(n)
+        try:
+            for _ in range(max_iter):
+                sweeps += 1
+                moving = []
+                for k in active:
+                    zk = z[k]
+                    p, dp, eta[k] = _eval_at(a, c, zk)
+                    if eta[k] <= FREEZE_TOL:
+                        continue
+                    s = 0.0j
+                    for zj in z:
+                        if zj != zk:
+                            s += 1.0 / (zk - zj)
+                    new = zk - p / (dp - p * s)
+                    # an iterate thrown out of the float range starts again
+                    z[k] = new if eta[k] < math.inf and cmath.isfinite(new) else start[k]
+                    moving.append(k)
+                active = moving
+                if not active:
+                    break
+            for k in active:  # still moving after max_iter sweeps
+                eta[k] = _eval_at(a, c, z[k])[2]
+        except (OverflowError, ZeroDivisionError):
+            eta = [math.inf] * n
+        reason = _gate(eta, threshold)
+        if reason:
+            continue
+        # c is the constant term only, so it leaves the first two power sums alone
+        for k in (1, 2):
+            want, got = math.fsum(v**k for v in a), sum(m**k for m in z)
+            scale = math.fsum(abs(v) ** k for v in a) + sum(abs(m) ** k for m in z)
+            if not abs(got - want) <= POWER_SUM_TOL * scale:
+                reason = f"power sum {k} of the roots is {got:.6g}, of the a_j {want:.6g}"
+                break
+        else:
+            return z, sweeps
+    raise RootFindingError(f"{reason} after {sweeps} sweeps")
 
 
 def _symmetrise_conjugates(roots, pair_tol: float) -> list[complex]:
-    """Force the root multiset to be exactly self-conjugate."""
+    """Force the root multiset to be exactly self-conjugate.
+
+    Roots within pair_tol times the spectral radius of the real axis are real.
+    """
     out = []
     roots = [complex(m) for m in roots]
+    pair_tol *= max(abs(m) for m in roots)
     roots.sort(key=lambda m: (m.real, abs(m.imag), m.imag))
     used = [False] * len(roots)
     for i, mu in enumerate(roots):
         if used[i]:
             continue
         used[i] = True
-        if abs(mu.imag) < pair_tol:
+        if abs(mu.imag) <= pair_tol:
             out.append(complex(mu.real, 0.0))
             continue
         # find the closest unused root to the conjugate
@@ -232,38 +259,32 @@ def _symmetrise_conjugates(roots, pair_tol: float) -> list[complex]:
     return out
 
 
-def _polish_clusters(
-    roots,
-    coeffs,
-    residual_target: float,
-) -> list[complex]:
+def _taylor(a, z: complex, m: int) -> list[complex]:
+    """Taylor coefficients t_0..t_m of prod(a_j - z - t) in t: p^(k)(z) = k! t_k, k >= 1."""
+    t = [1.0 + 0.0j] + [0.0j] * m
+    for v in a:
+        d = v - z
+        for i in range(m, 0, -1):
+            t[i] = t[i] * d - t[i - 1]
+        t[0] *= d
+    return t
+
+
+def _polish_clusters(roots, a, c: float, threshold: float) -> list[complex]:
     """Snap near-coincident roots onto the nearby root of p^(m-1).
 
-    Simultaneous iteration resolves an m-fold root only to O(residual^(1/m));
-    a genuine multiple root also zeroes the derivatives, which converge
-    quadratically. Groups of roots closer than the detection threshold are
-    replaced by the Newton-refined derivative root when the polynomial
-    residual confirms it.
+    Simultaneous iteration resolves an m-fold root only to O(eps^(1/m));
+    groups closer than 1e-6 of the spectral radius are replaced by the
+    Newton-refined root of p^(m-1) when its backward error confirms it.
     """
     roots = list(roots)
-    k = len(roots)
-    close = any(
-        abs(roots[i] - roots[j]) < 1e-6 * (1.0 + abs(roots[i]))
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
-    if not close:
-        return roots
+    tol = 1e-6 * max(abs(m) for m in roots)
     out = []
-    used = [False] * k
-    derivs = [np.asarray(coeffs)]
-    for _ in range(k):
-        derivs.append(np.polyder(derivs[-1]))
+    used = [False] * len(roots)
     for i, mu in enumerate(roots):
         if used[i]:
             continue
         group = [i]
-        tol = 1e-6 * (1.0 + abs(mu))
         for j in range(i + 1, len(roots)):
             if not used[j] and abs(roots[j] - mu) < tol:
                 group.append(j)
@@ -275,19 +296,16 @@ def _polish_clusters(
         center = sum(roots[j] for j in group) / m
         z = center
         for _ in range(50):
-            d = np.polyval(derivs[m], z)
-            if d == 0:
+            t = _taylor(a, z, m)
+            if t[m] == 0:
                 break
-            step = np.polyval(derivs[m - 1], z) / d
+            step = t[m - 1] / (m * t[m])  # p^(m-1) / p^(m)
             z = z - step
             if abs(step) < 1e-15 * (1.0 + abs(z)):
                 break
-        ok = (
-            abs(z - center) < tol
-            and abs(np.polyval(derivs[0], z)) <= residual_target
-        )
+        ok = abs(z - center) < tol and _eval_at(a, c, z)[2] <= threshold
         target = z if ok else center
-        if abs(target.imag) < 1e-12 * (1.0 + abs(target)):
+        if abs(target.imag) < 1e-6 * tol:
             target = complex(target.real, 0.0)
         for j in group:
             used[j] = True
@@ -308,21 +326,27 @@ def eigenvalues(
     pair_tol: float = PAIR_TOL,
     axis_tol: float = AXIS_TOL,
 ) -> Spectrum:
-    """All n eigenvalues of the ring Jacobian, residual-checked."""
+    """All n eigenvalues of the ring Jacobian, each with backward error <= residual_tol."""
     require_valid(params)
-    cp = char_poly(params)
-    target = residual_tol * cp.max_coefficient()
-    roots = _aberth_roots(params.a, cp.c, cp.coefficients, target)
+    a, c = params.a, params.coupling_product()
+    roots, sweeps = _aberth_roots(a, c, residual_tol)
+    # polish first: the two halves of a double root may both stop off the axis
+    roots = _polish_clusters(roots, a, c, residual_tol)
     roots = _symmetrise_conjugates(roots, pair_tol)
-    roots = _polish_clusters(roots, cp.coefficients, target)
     roots = sorted(roots, key=lambda m: (m.real, m.imag))
-    residuals = tuple(abs(cp.evaluate(m)) for m in roots)
+    evaluated = [_eval_at(a, c, m) for m in roots]
+    etas = [eta for _, _, eta in evaluated]
+    reason = _gate(etas, residual_tol)
+    if reason:
+        raise RootFindingError(f"symmetrised roots: {reason}")
     return Spectrum(
         eigenvalues=tuple(complex(m) for m in roots),
-        residuals=residuals,
+        residuals=tuple(abs(p) for p, _, _ in evaluated),
         pair_tolerance=pair_tol,
         tau=params.trace(),
         omega=_axis_omega(roots, axis_tol),
+        iterations=sweeps,
+        backward_error=max(etas),
     )
 
 
@@ -403,12 +427,14 @@ def adjacency_spectrum(
     core = coeffs[: len(coeffs) - trailing_zeros] if trailing_zeros else coeffs
     roots = np.concatenate([np.roots(core), np.zeros(trailing_zeros, dtype=complex)])
     roots = _symmetrise_conjugates(roots, pair_tol)
-    scale = np.abs(coeffs).max()
-    residuals = tuple(float(abs(np.polyval(coeffs, m))) / scale for m in roots)
+    values = [abs(np.polyval(coeffs, m)) for m in roots]
+    # backward error in the dense coefficients: |q(z)| / sum |q_i| |z|^i
+    etas = [_backward_error(v, np.polyval(abs(coeffs), abs(m))) for v, m in zip(values, roots)]
     return Spectrum(
         eigenvalues=tuple(complex(m) for m in roots),
-        residuals=residuals,
+        residuals=tuple(float(v) / np.abs(coeffs).max() for v in values),
         pair_tolerance=pair_tol,
         tau=float(np.trace(A)),
         omega=_axis_omega(roots, axis_tol),
+        backward_error=float(max(etas)),
     )

@@ -4,7 +4,8 @@ Everything here is implemented from first principles, without calling into
 the package under test, so disagreements point at the implementation:
 
   * characteristic polynomial by symbolic cofactor expansion,
-  * eigenvalues by the dense QR solver,
+  * eigenvalues by the dense QR solver, and certified to 50 digits in
+    mpmath (dense QR loses about 1e-8 at n = 40),
   * the auxiliary resonance polynomial built symbolically,
   * constructions of rings with prescribed spectral features (an imaginary
     pair, a double eigenvalue, a 5-node 2:1 resonance).
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import sympy
 
@@ -207,6 +209,72 @@ def construct_double_ring(n: int, rng):
             continue
         return ring_with_product(n, tuple(a), c, rng), lam
     raise RuntimeError("failed to construct a double-eigenvalue ring")
+
+
+def construct_grid_double_ring(n: int, rng, scale: float = 1.0):
+    """A ring whose polynomial has a double real root, at any n.
+
+    The diagonal is a jittered grid on [-3, 3] times `scale`, so
+    neighbours are at least 0.2 * 6/n apart. A'/A = sum 1/(z - a_j) falls
+    from +inf to -inf between neighbours, so a root of A' between two of
+    them is found by bisection, and c = -A there makes it a double root of
+    p. Returns (params, lambda).
+    """
+    while True:
+        a = scale * (-3.0 + (6.0 / n) * (np.arange(n) + 0.1 + 0.8 * rng.random(n)))
+        k = int(rng.integers(n - 1))
+        lo, hi = a[k], a[k + 1]
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if np.sum(1.0 / (mid - a)) > 0:
+                lo = mid
+            else:
+                hi = mid
+        c = -eval_A(a, mid).real
+        if abs(c) >= 1e-6 * scale**n:
+            return ring_with_product(n, tuple(float(v) for v in a), c, rng), float(mid)
+
+
+def mp_ring_roots(a, c: float, start, dps: int = 50, max_iter: int = 200) -> list:
+    """All roots of prod(a_j - z) + c at `dps` digits, certified.
+
+    Aberth-Ehrlich iteration in mpmath, started from `start`, with each
+    repeated point moved by about 1e-9 of the scale so that it can separate.
+    The disk about w_k of radius n |p(w_k) / p'(w_k)| holds a root of p; the
+    result is returned only when these n disks are pairwise disjoint, so
+    that they hold one root each and the w_k are all the roots. Raises
+    AssertionError otherwise.
+    """
+    with mpmath.workdps(dps):
+        n = len(a)
+        a = [mpmath.mpf(v) for v in a]
+        c = mpmath.mpf(c)
+        spread = 1e-9 * (1.0 + max(abs(complex(z)) for z in start))
+        w = [
+            mpmath.mpc(z) + (spread * mpmath.expjpi(2 * (k + 0.25) / n) if z in start[:k] else 0)
+            for k, z in enumerate(start)
+        ]
+
+        def p_dp(z):
+            prod, dp = mpmath.mpc(1), mpmath.mpc(0)
+            for v in a:
+                dp = dp * (v - z) - prod
+                prod *= v - z
+            return prod + c, dp
+
+        for _ in range(max_iter):
+            pv = [p_dp(z) for z in w]
+            radii = [n * abs(p / dp) if p else mpmath.mpf(0) for p, dp in pv]
+            scale = 1 + max(abs(v) for v in w)
+            if max(radii) < mpmath.mpf(10) ** (12 - dps) * scale and all(
+                abs(w[k] - w[j]) > radii[k] + radii[j]
+                for k in range(n)
+                for j in range(k + 1, n)
+            ):
+                return [complex(v) for v in w]
+            for k, (p, dp) in enumerate(pv):
+                s = mpmath.fsum(1 / (w[k] - w[j]) for j in range(n) if j != k)
+                w[k] -= p / (dp - p * s)
+    raise AssertionError(f"mpmath iteration not certified after {max_iter} sweeps")
 
 
 def construct_resonant_ring_5(rng, attempts: int = 200):

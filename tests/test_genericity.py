@@ -218,6 +218,22 @@ def test_remove_multiple_on_constructed_doubles():
         assert detect_multiple(eigenvalues(result.perturbed)) == []
 
 
+@pytest.mark.parametrize("n, count, seed", [(10, 200, 10), (20, 40, 20)])
+def test_remove_multiple_repairs_grid_double_rings(n, count, seed):
+    # a root gate scaled by the largest dense coefficient left the double
+    # root split by about 1e-6, above the gap tolerance: 1 and 6 of these
+    # rings came back unrepaired with delta 0
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r, lam = oracles.construct_grid_double_ring(n, rng)
+        result = remove_multiple(r, epsilon=1e-3)
+        assert 0.0 < result.delta <= 1e-3, f"double root at {lam} left in place"
+        assert result.perturbed.a == r.a
+        dense = np.linalg.eigvals(result.perturbed.jacobian())
+        gap = min(abs(x - y) for i, x in enumerate(dense) for y in dense[i + 1 :])
+        assert gap > 1e-7 * (1.0 + np.abs(dense).max())
+
+
 def test_remove_multiple_rejects_bad_epsilon():
     with pytest.raises(ValueError):
         remove_multiple(oracles.REFERENCE_RING, epsilon=0.0)

@@ -72,6 +72,18 @@ def test_phase_shifts_reject_non_eigenvalue():
         phase_shifts(oracles.REFERENCE_RING, 2.0)
 
 
+def test_phase_shifts_reject_detuned_frequency_at_large_n():
+    # a residual gate scaled by the largest dense coefficient (about 1e9 at
+    # n = 40) accepted 1.01 omega on one of these size-40 rings
+    rng = np.random.default_rng(1)
+    for n in (10, 20, 40):
+        for _ in range(5):
+            r, omega = oracles.construct_hopf_ring(n, rng)
+            phase_shifts(r, omega)
+            with pytest.raises(ValueError, match="not an eigenvalue"):
+                phase_shifts(r, 1.01 * omega)
+
+
 def test_phase_shifts_force_overrides_check():
     profile = phase_shifts(oracles.REFERENCE_RING, 2.0, force=True)
     assert len(profile.theta) == 3

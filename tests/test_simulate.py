@@ -61,6 +61,13 @@ def test_integrate_rejects_non_finite_arguments(name, kwargs):
         integrate(fam, np.zeros(3), **args)
 
 
+def test_integrate_rejects_overflowing_step_count():
+    # both arguments are finite, but t_end / h is not
+    fam = AdmissibleOdeFamily(oracles.REFERENCE_RING)
+    with pytest.raises(ValueError, match=r"^t_end=1e\+308 and h=1e-10 give inf steps$"):
+        integrate(fam, np.zeros(3), t_end=1e308, h=1e-10)
+
+
 def test_integrate_preserves_origin():
     fam = AdmissibleOdeFamily(oracles.REFERENCE_RING, lam=0.05)
     traj = integrate(fam, np.zeros(3), t_end=1.0, h=0.01)

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from ringhopf.model import AdjacencyMatrix, RingParams
+from ringhopf import spectra
+from ringhopf.model import AdjacencyMatrix, RingParams, time_rescale
 from ringhopf.spectra import (
     RootFindingError,
     ZeroCouplingError,
@@ -220,3 +223,124 @@ def test_at_most_one_imaginary_pair():
         s = eigenvalues(r)
         axis = [m for m in s.eigenvalues if abs(m.real) < 1e-8 and m.imag > 1e-8]
         assert len(axis) <= 1
+
+
+def _assert_matches_mpmath(r: RingParams):
+    """The spectrum against the 50-digit roots, as a multiset.
+
+    A root whose nearest neighbour lies within 1e-4 of the inclusion scale
+    R = max|a_j| + |c|^(1/n) belongs to a cluster of m such roots, and only
+    (1e-12)^(1/m) R of it is asked; a simple root is asked 1e-12 R.
+    """
+    s = eigenvalues(r)
+    c = r.coupling_product()
+    true = oracles.mp_ring_roots(r.a, c, s.eigenvalues)
+    scale = max(abs(v) for v in r.a) + abs(c) ** (1.0 / r.n)
+    sizes = [sum(abs(w - v) < 1e-4 * scale for v in true) for w in true]
+    remaining = list(s.eigenvalues)
+    for w, m in sorted(zip(true, sizes), key=lambda p: p[1]):
+        k = min(range(len(remaining)), key=lambda i: abs(remaining[i] - w))
+        assert abs(remaining.pop(k) - w) <= 1e-12 ** (1.0 / m) * scale, f"root {w} unmatched"
+    assert s.backward_error <= 1e-10
+    return s, scale
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(3, 64),
+    log_scale=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_rings_match_mpmath(n, log_scale, seed):
+    # dense QR is no oracle here: at n = 40 it loses about 1e-8
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    r = RingParams(n, tuple(scale * rng.uniform(-3, 3, n)), tuple(scale * rng.uniform(-3, 3, n)))
+    _assert_matches_mpmath(r)
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(4, 20),
+    log_scale=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_double_root_rings_match_mpmath(n, log_scale, seed):
+    # both halves of the double root come back, and no simple root is
+    # traded for a third copy of it
+    rng = np.random.default_rng(seed)
+    r, lam = oracles.construct_grid_double_ring(n, rng, 10.0**log_scale)
+    s, scale = _assert_matches_mpmath(r)
+    assert sum(abs(m - lam) < 1e-6 * scale for m in s.eigenvalues) == 2
+
+
+def test_double_root_ring_near_the_top_of_the_float_range():
+    # |c| is about 1e269 here: an Aberth step that overshoots overflows
+    # prod(a_j - z), and a NaN iterate made every root NaN through the
+    # Aberth sums
+    r, _ = oracles.construct_grid_double_ring(64, np.random.default_rng(0), 1e4)
+    _assert_matches_mpmath(r)
+
+
+def test_spectrum_records_iterations_and_backward_error():
+    s = eigenvalues(oracles.REFERENCE_RING)
+    assert s.iterations > 0
+    assert 0.0 <= s.backward_error <= 1e-10
+    doc = s.to_dict()
+    assert doc["iterations"] == s.iterations
+    assert doc["backward_error"] == s.backward_error
+
+
+def test_size_40_ring_gets_a_spectrum():
+    # the start circle of radius 1 + max|dense coefficient| made every
+    # residual NaN at this size
+    rng = np.random.default_rng(0)
+    r = RingParams(40, tuple(rng.uniform(-3, 3, 40)), tuple(rng.uniform(-3, 3, 40)))
+    s = eigenvalues(r)
+    true = oracles.mp_ring_roots(r.a, r.coupling_product(), s.eigenvalues)
+    assert max(min(abs(x - y) for y in s.eigenvalues) for x in true) < 1e-13
+
+
+def test_gate_names_worst_backward_error_and_threshold():
+    rng = np.random.default_rng(0)
+    r = RingParams(40, tuple(rng.uniform(-3, 3, 40)), tuple(rng.uniform(-3, 3, 40)))
+    with pytest.raises(
+        RootFindingError,
+        match=r"worst backward error \S+ exceeds the threshold 0\.000e\+00 \(\d+ of 40 roots\)",
+    ):
+        eigenvalues(r, residual_tol=0.0)
+
+
+def test_power_sums_reject_roots_that_are_not_the_root_set(monkeypatch):
+    # roots frozen at a backward error of 1e-3 pass a gate of 1e-2, but
+    # their power sums are off by far more than rounding
+    monkeypatch.setattr(spectra, "FREEZE_TOL", 1e-3)
+    with pytest.raises(RootFindingError, match="power sum"):
+        eigenvalues(oracles.REFERENCE_RING, residual_tol=1e-2)
+
+
+def test_spectrum_scales_with_the_ring():
+    # a double root split by 1e-9 of c: one sign of the split puts a pair
+    # about 1e-5 of the radius off the axis, which at 1e-4 of the scale is
+    # inside an absolute pair tolerance of 1e-8
+    rng = np.random.default_rng(3)
+    r, lam = oracles.construct_grid_double_ring(5, rng)
+    off_axis = 0
+    for split in (1.0 + 1e-9, 1.0 - 1e-9):
+        ring = RingParams(5, r.a, (r.b[0] * split, *r.b[1:]))
+        big = eigenvalues(ring).eigenvalues
+        small = eigenvalues(time_rescale(ring, 1e-4)).eigenvalues
+        _match_multiset(small, [1e-4 * m for m in big], 1e-14)
+        off_axis += sum(1e-6 < abs(m.imag) < 1e-4 for m in big)
+    assert off_axis == 2
+
+
+def test_gate_checks_the_returned_roots(monkeypatch):
+    # whatever the clean-up after the iteration does, a root it spoils is
+    # not returned
+    def spoil(roots, a, c, threshold):
+        return [roots[0] + 1e-3, *roots[1:]]
+
+    monkeypatch.setattr(spectra, "_polish_clusters", spoil)
+    with pytest.raises(RootFindingError, match="symmetrised roots"):
+        eigenvalues(oracles.REFERENCE_RING)
