@@ -38,7 +38,6 @@ from .phases import (
     phase_shifts,
     quadrant_of_ratio,
     table_lookup,
-    wave_classification,
 )
 from .genericity import (
     ForbiddenSet,

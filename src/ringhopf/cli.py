@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import logging
 import os
@@ -67,8 +69,6 @@ def cmd_analyze(args) -> int:
 
 
 def _tables_csv(rows, discrepancies: bool) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     header = ["case", "omega_sign", "b1", "b2", "b3", "theta1", "theta2", "theta3"]
@@ -146,25 +146,13 @@ def cmd_perturb(args) -> int:
 
 def cmd_simulate(args) -> int:
     family = model.load_family(args.ring)
-    rows = simulate.branch_sweep(
-        family,
-        args.lam,
-        settle_time=args.settle,
-        h=args.step,
-        tol=args.cycle_tol,
+    sweep = functools.partial(
+        simulate.branch_sweep, family, settle_time=args.settle, h=args.step, tol=args.cycle_tol
     )
+    rows = sweep(args.lam)
     if all(r.measurement is None for r in rows) and args.try_other_side:
-        mirrored = [-lam for lam in args.lam]
         log.info("no cycle on the requested side; retrying with lambda signs flipped")
-        rows = simulate.branch_sweep(
-            family,
-            mirrored,
-            settle_time=args.settle,
-            h=args.step,
-            tol=args.cycle_tol,
-        )
-    import io
-
+        rows = sweep([-lam for lam in args.lam])
     buf = io.StringIO()
     writer = csv.writer(buf)
     n = family.base.n

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .model import RingParams, require_valid
-from .spectra import Spectrum, eigenvalues
+from .spectra import AXIS_TOL, Spectrum, a_poly_coeffs, axis_pairs, eigenvalues
 
 GAP_TOL_FACTOR = 1e-7
 REAL_VALUE_TOL = 1e-9
-RESONANCE_TOL = 1e-8
 
 
 class PerturbationBudgetError(RuntimeError):
@@ -91,23 +91,19 @@ class ForbiddenSet:
             "sources": [[jsonable(v) for v in s] for s in self.sources],
         }
 
-
-def _a_poly_coeffs(params: RingParams) -> np.ndarray:
-    """Dense coefficients (highest first) of A(lambda) = prod(a_j - lambda)."""
-    coeffs = np.array([1.0])
-    for v in params.a:
-        coeffs = np.convolve(coeffs, np.array([-1.0, v]))
-    return coeffs
+    def __or__(self, other: ForbiddenSet) -> ForbiddenSet:
+        return ForbiddenSet(self.values + other.values, self.sources + other.sources)
 
 
-def _real_forbidden_values(lam_roots, a_coeffs, source_maker) -> tuple[list, list]:
+def _real_forbidden_values(lam_roots, a_coeffs, source: tuple) -> ForbiddenSet:
+    """-A(lambda) at each root lambda where it is real, sourced (*source, lambda)."""
     values, sources = [], []
     for lam in lam_roots:
         v = -np.polyval(a_coeffs, lam)
         if abs(v.imag) < REAL_VALUE_TOL * (1.0 + abs(v)):
             values.append(float(v.real))
-            sources.append(source_maker(lam))
-    return values, sources
+            sources.append((*source, complex(lam)))
+    return ForbiddenSet(values=tuple(values), sources=tuple(sources))
 
 
 def multiplicity_forbidden_set(params: RingParams) -> ForbiddenSet:
@@ -118,13 +114,8 @@ def multiplicity_forbidden_set(params: RingParams) -> ForbiddenSet:
     since c is real).
     """
     require_valid(params)
-    a_coeffs = _a_poly_coeffs(params)
-    dp = np.polyder(a_coeffs)
-    lam_roots = np.roots(dp)
-    values, sources = _real_forbidden_values(
-        lam_roots, a_coeffs, lambda lam: ("p_prime_root", complex(lam))
-    )
-    return ForbiddenSet(values=tuple(values), sources=tuple(sources))
+    a_coeffs = np.array(a_poly_coeffs(params.a))
+    return _real_forbidden_values(np.roots(np.polyder(a_coeffs)), a_coeffs, ("p_prime_root",))
 
 
 def resonance_poly(params: RingParams, k: int) -> np.ndarray:
@@ -140,7 +131,7 @@ def resonance_poly(params: RingParams, k: int) -> np.ndarray:
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k}")
     n = params.n
-    A = _a_poly_coeffs(params)
+    A = np.array(a_poly_coeffs(params.a))
     dp = np.polyder(A)
 
     def substitute_k(coeffs: np.ndarray) -> np.ndarray:
@@ -163,16 +154,12 @@ def resonance_forbidden_set(params: RingParams, k_max: int) -> ForbiddenSet:
     """Union of forbidden coupling products over Q_k roots for 2 <= k <= k_max."""
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
-    a_coeffs = _a_poly_coeffs(params)
-    values, sources = [], []
+    a_coeffs = np.array(a_poly_coeffs(params.a))
+    forbidden = ForbiddenSet(values=(), sources=())
     for k in range(2, k_max + 1):
-        Q = resonance_poly(params, k)
-        v, s = _real_forbidden_values(
-            np.roots(Q), a_coeffs, lambda lam, k=k: ("resonance_root", k, complex(lam))
-        )
-        values.extend(v)
-        sources.extend(s)
-    return ForbiddenSet(values=tuple(values), sources=tuple(sources))
+        roots = np.roots(resonance_poly(params, k))
+        forbidden |= _real_forbidden_values(roots, a_coeffs, ("resonance_root", k))
+    return forbidden
 
 
 @dataclass(frozen=True)
@@ -184,19 +171,13 @@ class ResonanceFlag:
         return {"k": self.k, "omega": self.omega}
 
 
-def detect_resonance(spectrum: Spectrum, k_max: int, tol: float = RESONANCE_TOL) -> list[ResonanceFlag]:
+def detect_resonance(spectrum: Spectrum, k_max: int, tol: float = AXIS_TOL) -> list[ResonanceFlag]:
     """k:1 resonances among axis pairs, plus the 0:1 flag for zero eigenvalues."""
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
-    axis = [m.imag for m in spectrum.eigenvalues if abs(m.real) < tol and m.imag > tol]
-    zeros = [m for m in spectrum.eigenvalues if abs(m) < tol]
-    # collapse near-duplicates to pair frequencies
-    freqs = []
-    for w in sorted(axis):
-        if not freqs or w - freqs[-1] > tol:
-            freqs.append(w)
+    freqs = [group[0].imag for group in axis_pairs(spectrum.eigenvalues, tol)]
     flags = []
-    if zeros and freqs:
+    if freqs and any(abs(m) < tol for m in spectrum.eigenvalues):
         flags.append(ResonanceFlag(k=0, omega=float(freqs[0])))
     for w in freqs:
         for k in range(2, k_max + 1):
@@ -213,6 +194,7 @@ class PerturbationResult:
     achieved_gap: float
     removed: tuple[str, ...]
     forbidden: ForbiddenSet
+    margin: float  # distance from the final c to the nearest forbidden value or 0
 
     def to_dict(self) -> dict:
         return {
@@ -222,6 +204,7 @@ class PerturbationResult:
             "achieved_gap": self.achieved_gap,
             "removed": list(self.removed),
             "forbidden": self.forbidden.to_dict(),
+            "margin": self.margin,
         }
 
 
@@ -240,12 +223,11 @@ def _shift_coupling_product(
     b_work: list[float],
     forbidden_values,
     epsilon: float,
-) -> tuple[list[float], float]:
+) -> list[float]:
     """Move c into the widest forbidden-free subinterval reachable via b_1.
 
-    Returns the adjusted couplings and the margin from c to the forbidden
-    set. b_1 moves by at most epsilon/2. c = 0 is avoided as well, since it
-    would require b_1 = 0.
+    Returns the adjusted couplings. b_1 moves by at most epsilon/2. c = 0
+    is avoided as well, since it would require b_1 = 0.
     """
     n = params.n
     sign = (-1) ** (n + 1)
@@ -253,16 +235,14 @@ def _shift_coupling_product(
     c_now = sign * b_work[0] * rest
     half_width = (epsilon / 2.0) * abs(rest)
     lo, hi = c_now - half_width, c_now + half_width
-    avoid = sorted({v for v in list(forbidden_values) + [0.0] if lo < v < hi})
-    points = [lo] + avoid + [hi]
+    avoid = (*forbidden_values, 0.0)
+    points = [lo] + sorted({v for v in avoid if lo < v < hi}) + [hi]
     best_mid, best_margin = c_now, -math.inf
     for left, right in zip(points[:-1], points[1:]):
         if right - left <= 0:
             continue
         mid = (left + right) / 2.0
-        margin = min(
-            [abs(mid - v) for v in list(forbidden_values) + [0.0]] or [math.inf]
-        )
+        margin = min(abs(mid - v) for v in avoid)
         if margin > best_margin:
             best_mid, best_margin = mid, margin
     if not math.isfinite(best_margin) or best_margin <= 0:
@@ -272,7 +252,44 @@ def _shift_coupling_product(
         )
     b_new = list(b_work)
     b_new[0] = sign * best_mid / rest
-    return b_new, best_margin
+    return b_new
+
+
+def _repair(
+    params: RingParams,
+    epsilon: float,
+    spectrum: Spectrum,
+    found: list[str],
+    forbidden: ForbiddenSet,
+    failure: Callable[[Spectrum, RingParams], str | None],
+) -> PerturbationResult:
+    """The repair both removals share; `found` notes what params has to lose.
+
+    With nothing found and no zero coupling, params comes back unchanged.
+    `failure(new_spectrum, perturbed)` says why a repaired ring fails, or None.
+    """
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not found and all(v != 0.0 for v in params.b):
+        perturbed, new_spectrum, notes = params, spectrum, []
+    else:
+        b_work, notes = _dezero_couplings(params.b, epsilon)
+        b_new = _shift_coupling_product(params, b_work, forbidden.values, epsilon)
+        perturbed = RingParams(params.n, params.a, tuple(b_new))
+        new_spectrum = eigenvalues(perturbed)
+        reason = failure(new_spectrum, perturbed)
+        if reason:
+            raise PerturbationBudgetError(reason)
+    c = perturbed.coupling_product()
+    return PerturbationResult(
+        original=params,
+        perturbed=perturbed,
+        delta=max(abs(x - y) for x, y in zip(params.b, perturbed.b)),
+        achieved_gap=new_spectrum.min_gap(),
+        removed=tuple(notes + found),
+        forbidden=forbidden,
+        margin=min(abs(c - v) for v in forbidden.values + (0.0,)),
+    )
 
 
 def remove_multiple(
@@ -286,61 +303,34 @@ def remove_multiple(
     most epsilon/2 to push the coupling product away from every forbidden
     value. The diagonal entries are never touched.
     """
-    require_valid(params)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     spectrum = eigenvalues(params)
     if gap_tol is None:
         gap_tol = default_gap_tol(spectrum)
-    clusters = detect_multiple(spectrum, gap_tol)
+    found = [
+        f"multiple eigenvalue near {c.value:.6g} (multiplicity {c.multiplicity})"
+        for c in detect_multiple(spectrum, gap_tol)
+    ]
     forbidden = multiplicity_forbidden_set(params)
-    if not clusters and all(v != 0.0 for v in params.b):
-        return PerturbationResult(
-            original=params,
-            perturbed=params,
-            delta=0.0,
-            achieved_gap=spectrum.min_gap(),
-            removed=(),
-            forbidden=forbidden,
-        )
-    b_work, notes = _dezero_couplings(params.b, epsilon)
-    b_new, _ = _shift_coupling_product(params, b_work, forbidden.values, epsilon)
-    perturbed = RingParams(params.n, params.a, tuple(b_new))
-    new_spectrum = eigenvalues(perturbed)
-    achieved = new_spectrum.min_gap()
-    if achieved <= gap_tol:
-        nearest = min(
-            forbidden.values,
-            key=lambda v: abs(v - perturbed.coupling_product()),
-            default=None,
-        )
-        raise PerturbationBudgetError(
+
+    def failure(new_spectrum: Spectrum, perturbed: RingParams) -> str | None:
+        achieved = new_spectrum.min_gap()
+        if achieved > gap_tol:
+            return None
+        c = perturbed.coupling_product()
+        nearest = min(forbidden.values, key=lambda v: abs(v - c), default=None)
+        return (
             f"achieved gap {achieved:.3e} <= gap_tol {gap_tol:.3e}; "
             f"nearest forbidden value {nearest}"
         )
-    removed = tuple(
-        notes
-        + [
-            f"multiple eigenvalue near {c.value:.6g} (multiplicity {c.multiplicity})"
-            for c in clusters
-        ]
-    )
-    delta = max(abs(x - y) for x, y in zip(params.b, perturbed.b))
-    return PerturbationResult(
-        original=params,
-        perturbed=perturbed,
-        delta=delta,
-        achieved_gap=achieved,
-        removed=removed,
-        forbidden=forbidden,
-    )
+
+    return _repair(params, epsilon, spectrum, found, forbidden, failure)
 
 
 def remove_resonances(
     params: RingParams,
     k_max: int,
     epsilon: float,
-    tol: float = RESONANCE_TOL,
+    tol: float = AXIS_TOL,
 ) -> PerturbationResult:
     """Perturb couplings (only) so no k:1 resonance survives for k <= k_max.
 
@@ -348,47 +338,15 @@ def remove_resonances(
     2 <= k <= k_max, together with the multiplicity values, and a single
     b_1 adjustment clears all of them simultaneously.
     """
-    require_valid(params)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if k_max < 2:
-        raise ValueError(f"k_max must be >= 2, got {k_max}")
     spectrum = eigenvalues(params)
-    flags = detect_resonance(spectrum, k_max, tol)
-    res_forbidden = resonance_forbidden_set(params, k_max)
-    mult_forbidden = multiplicity_forbidden_set(params)
-    forbidden = ForbiddenSet(
-        values=res_forbidden.values + mult_forbidden.values,
-        sources=res_forbidden.sources + mult_forbidden.sources,
-    )
-    if not flags and all(v != 0.0 for v in params.b):
-        return PerturbationResult(
-            original=params,
-            perturbed=params,
-            delta=0.0,
-            achieved_gap=spectrum.min_gap(),
-            removed=(),
-            forbidden=forbidden,
-        )
-    b_work, notes = _dezero_couplings(params.b, epsilon)
-    b_new, _ = _shift_coupling_product(params, b_work, forbidden.values, epsilon)
-    perturbed = RingParams(params.n, params.a, tuple(b_new))
-    new_spectrum = eigenvalues(perturbed)
-    residual_flags = detect_resonance(new_spectrum, k_max, tol)
-    if residual_flags:
-        raise PerturbationBudgetError(
-            f"resonances remain after perturbation: "
-            f"{[(f.k, f.omega) for f in residual_flags]}"
-        )
-    removed = tuple(
-        notes + [f"{f.k}:1 resonance at omega={f.omega:.6g}" for f in flags]
-    )
-    delta = max(abs(x - y) for x, y in zip(params.b, perturbed.b))
-    return PerturbationResult(
-        original=params,
-        perturbed=perturbed,
-        delta=delta,
-        achieved_gap=new_spectrum.min_gap(),
-        removed=removed,
-        forbidden=forbidden,
-    )
+    found = [
+        f"{f.k}:1 resonance at omega={f.omega:.6g}"
+        for f in detect_resonance(spectrum, k_max, tol)
+    ]
+    forbidden = resonance_forbidden_set(params, k_max) | multiplicity_forbidden_set(params)
+
+    def failure(new_spectrum: Spectrum, perturbed: RingParams) -> str | None:
+        left = [(f.k, f.omega) for f in detect_resonance(new_spectrum, k_max, tol)]
+        return f"resonances remain after perturbation: {left}" if left else None
+
+    return _repair(params, epsilon, spectrum, found, forbidden, failure)

@@ -19,10 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .model import AdmissibleOdeFamily, RingParams
-from .spectra import Spectrum, eigenvalues
+from .spectra import AXIS_TOL, Spectrum, axis_pairs, eigenvalues
 
 PRODUCT_REL_TOL = 1e-9
-AXIS_TOL = 1e-8
 
 
 class NotAHopfPointError(ValueError):
@@ -153,31 +152,23 @@ def detect_imaginary_pair(spectrum: Spectrum, tol: float = AXIS_TOL) -> Imaginar
     A zero eigenvalue alongside a pair is reported as a 0:1 warning rather
     than blocking detection; two distinct pairs on the axis block it.
     """
+    distinct = axis_pairs(spectrum.eigenvalues, tol)
+    if not distinct:
+        return ImaginaryPairDetection(omega=None, warnings=())
     warnings = []
-    axis_pos = [m for m in spectrum.eigenvalues if abs(m.real) < tol and m.imag > tol]
-    zeros = [m for m in spectrum.eigenvalues if abs(m) < tol]
-    if zeros and axis_pos:
+    if any(abs(m) < tol for m in spectrum.eigenvalues):
         warnings.append("0:1 resonance: zero eigenvalue on the axis alongside a pair")
-    if not axis_pos:
-        return ImaginaryPairDetection(omega=None, warnings=tuple(warnings))
-    # distinct pair frequencies (values within tol collapse to one pair)
-    distinct = []
-    for m in sorted(axis_pos, key=lambda m: m.imag):
-        if not distinct or m.imag - distinct[-1][-1].imag > tol:
-            distinct.append([m])
-        else:
-            distinct[-1].append(m)
+    omega = None
     if len(distinct) > 1:
         warnings.append(
             "multiple imaginary pairs on the axis: "
             + ", ".join(f"{g[0].imag:.6g}" for g in distinct)
         )
-        return ImaginaryPairDetection(omega=None, warnings=tuple(warnings))
-    group = distinct[0]
-    if len(group) > 1:
-        warnings.append(f"imaginary pair at {group[0].imag:.6g} is not simple")
-        return ImaginaryPairDetection(omega=None, warnings=tuple(warnings))
-    return ImaginaryPairDetection(omega=float(group[0].imag), warnings=tuple(warnings))
+    elif len(distinct[0]) > 1:
+        warnings.append(f"imaginary pair at {distinct[0][0].imag:.6g} is not simple")
+    else:
+        omega = float(distinct[0][0].imag)
+    return ImaginaryPairDetection(omega=omega, warnings=tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -198,10 +189,6 @@ class CrossingCheck:
         }
 
 
-def _eigs_at(jac: Callable[[float], np.ndarray], lam: float) -> np.ndarray:
-    return np.linalg.eigvals(jac(lam))
-
-
 def crossing_check(
     family: AdmissibleOdeFamily | Callable[[float], np.ndarray],
     lambda0: float,
@@ -216,16 +203,15 @@ def crossing_check(
     if h <= 0:
         raise ValueError("h must be positive")
     jac = family.jacobian if isinstance(family, AdmissibleOdeFamily) else family
-    eigs0 = _eigs_at(jac, lambda0)
-    axis = [m for m in eigs0 if abs(m.real) < axis_tol and m.imag > axis_tol]
-    if not axis:
+    pairs = axis_pairs(np.linalg.eigvals(jac(lambda0)), axis_tol)
+    if not pairs:
         raise NotAHopfPointError(
             f"no imaginary pair detected at lambda0={lambda0}"
         )
-    mu0 = min(axis, key=lambda m: abs(m.real))
+    mu0 = min((m for group in pairs for m in group), key=lambda m: abs(m.real))
 
     def track(lam: float) -> complex:
-        eigs = _eigs_at(jac, lam)
+        eigs = np.linalg.eigvals(jac(lam))
         order = np.argsort(np.abs(eigs - mu0))
         nearest = eigs[order[0]]
         if len(eigs) > 1:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,6 @@ class RingParams:
 class ValidationReport:
     ok: bool
     n_ok: bool
-    finite: bool
     zero_couplings: tuple[int, ...]
     messages: tuple[str, ...]
 
@@ -78,8 +77,7 @@ class ValidationReport:
 def validate(params: RingParams) -> ValidationReport:
     """Report-only structural checks: minimum size and zero couplings.
 
-    Finiteness and length consistency are enforced at construction, so a
-    constructed RingParams always reports finite=True.
+    Finiteness and length consistency are enforced at construction.
     """
     messages = []
     n_ok = params.n >= MIN_NODES
@@ -91,7 +89,6 @@ def validate(params: RingParams) -> ValidationReport:
     return ValidationReport(
         ok=n_ok,
         n_ok=n_ok,
-        finite=True,
         zero_couplings=zeros,
         messages=tuple(messages),
     )
@@ -202,7 +199,8 @@ class AdjacencyMatrix:
         }
 
 
-def _load_document(path) -> dict:
+def _load_document(path, build):
+    """build(doc) for the JSON object at path; a malformed field raises RingFormatError."""
     path = Path(path)
     text = path.read_text()
     if not text.strip():
@@ -213,48 +211,49 @@ def _load_document(path) -> dict:
         raise RingFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise RingFormatError(f"{path}: top-level value must be an object")
-    return doc
+    try:
+        return build(doc)
+    except (TypeError, ValueError) as exc:
+        raise RingFormatError(f"{path}: {exc}") from exc
 
 
-def _get(doc: dict, key: str, path) -> object:
+def _get(doc: dict, key: str) -> object:
     if key not in doc:
-        raise RingFormatError(f"{path}: missing field '{key}'")
+        raise RingFormatError(f"missing field '{key}'")
     return doc[key]
 
 
+def _ring_from(doc: dict) -> RingParams:
+    return RingParams(
+        n=int(_get(doc, "n")),
+        a=tuple(_get(doc, "a")),
+        b=tuple(_get(doc, "b")),
+    )
+
+
+def _family_from(doc: dict) -> AdmissibleOdeFamily:
+    cubic = tuple(doc["cubic"]) if "cubic" in doc else None
+    lam = float(doc.get("lambda", 0.0))
+    return AdmissibleOdeFamily(base=_ring_from(doc), cubic=cubic, lam=lam)
+
+
+def _adjacency_from(doc: dict) -> AdjacencyMatrix:
+    return AdjacencyMatrix(
+        n=int(_get(doc, "n")),
+        rows=tuple(tuple(r) for r in _get(doc, "rows")),
+    )
+
+
 def load_ring(path) -> RingParams:
-    doc = _load_document(path)
-    try:
-        return RingParams(
-            n=int(_get(doc, "n", path)),
-            a=tuple(_get(doc, "a", path)),
-            b=tuple(_get(doc, "b", path)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise RingFormatError(f"{path}: {exc}") from exc
+    return _load_document(path, _ring_from)
 
 
 def load_family(path) -> AdmissibleOdeFamily:
-    doc = _load_document(path)
-    base = RingParams(
-        n=int(_get(doc, "n", path)),
-        a=tuple(_get(doc, "a", path)),
-        b=tuple(_get(doc, "b", path)),
-    )
-    cubic = tuple(doc["cubic"]) if "cubic" in doc else None
-    lam = float(doc.get("lambda", 0.0))
-    return AdmissibleOdeFamily(base=base, cubic=cubic, lam=lam)
+    return _load_document(path, _family_from)
 
 
 def load_adjacency(path) -> AdjacencyMatrix:
-    doc = _load_document(path)
-    try:
-        return AdjacencyMatrix(
-            n=int(_get(doc, "n", path)),
-            rows=tuple(tuple(r) for r in _get(doc, "rows", path)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise RingFormatError(f"{path}: {exc}") from exc
+    return _load_document(path, _adjacency_from)
 
 
 def save(obj, path) -> None:

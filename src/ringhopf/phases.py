@@ -23,7 +23,6 @@ from .model import RingParams, cyclic_relabel, require_valid
 from .spectra import ZeroCouplingError, backward_error
 
 TWO_PI = 2 * math.pi
-SUM_TOL = 1e-8
 ZERO_TOL_FACTOR = 1e-10
 EIGENVALUE_TOL = 1e-8
 
@@ -87,10 +86,6 @@ def wave_class_of(sectors) -> str:
     if all(q == 2 for q in quads) or all(q == 3 for q in quads):
         return "rotating"
     return "standing"
-
-
-def wave_classification(profile: PhaseProfile) -> str:
-    return profile.wave_class
 
 
 def phase_shifts(

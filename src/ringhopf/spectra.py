@@ -107,17 +107,23 @@ class Eigenvector:
     arguments: tuple[float, ...]  # in [0, 2*pi)
 
 
-def char_poly(params: RingParams) -> CharPoly:
-    """Expand p(lambda) = prod(a_j - lambda) + (-1)^(n+1) prod(b_j)."""
-    require_valid(params)
+def a_poly_coeffs(a) -> list[float]:
+    """Dense coefficients, highest degree first, of A(lambda) = prod(a_j - lambda)."""
     coeffs = [1.0]
-    for a in params.a:
-        # factor (a - lambda): coefficient of lambda is -1, constant is a
+    for aj in a:
+        # factor (aj - lambda): coefficient of lambda is -1, constant is aj
         nxt = [0.0] * (len(coeffs) + 1)
         for i, v in enumerate(coeffs):
             nxt[i] += -v
-            nxt[i + 1] += a * v
+            nxt[i + 1] += aj * v
         coeffs = nxt
+    return coeffs
+
+
+def char_poly(params: RingParams) -> CharPoly:
+    """Expand p(lambda) = prod(a_j - lambda) + (-1)^(n+1) prod(b_j)."""
+    require_valid(params)
+    coeffs = a_poly_coeffs(params.a)
     c = params.coupling_product()
     coeffs[-1] += c
     return CharPoly(
@@ -313,11 +319,25 @@ def _polish_clusters(roots, a, c: float, threshold: float) -> list[complex]:
     return out
 
 
-def _axis_omega(roots: np.ndarray, axis_tol: float) -> float | None:
-    on_axis = [m for m in roots if abs(m.real) < axis_tol and m.imag > axis_tol]
-    if not on_axis:
-        return None
-    return float(min(on_axis, key=lambda m: m.imag).imag)
+def axis_pairs(roots, tol: float = AXIS_TOL) -> list[list[complex]]:
+    """Roots on the imaginary axis (|Re| < tol, Im > tol), grouped by frequency.
+
+    Sorted by Im; a root joins the last group when its Im is within tol of
+    that group's last member, so each group is one pair frequency.
+    """
+    on_axis = [m for m in roots if abs(m.real) < tol and m.imag > tol]
+    groups = []
+    for m in sorted(on_axis, key=lambda m: m.imag):
+        if groups and m.imag - groups[-1][-1].imag <= tol:
+            groups[-1].append(m)
+        else:
+            groups.append([m])
+    return groups
+
+
+def _axis_omega(roots, axis_tol: float) -> float | None:
+    pairs = axis_pairs(roots, axis_tol)
+    return float(pairs[0][0].imag) if pairs else None
 
 
 def eigenvalues(

@@ -71,6 +71,15 @@ def test_analyze_malformed_json_errors(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("doc", [{"n": None}, {"cubic": 5}])
+def test_simulate_malformed_family_errors(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "a": [1, -2, -3], "b": [1, 1, -10], **doc}))
+    code, _, err = run(capsys, ["simulate", str(path), "--lambda", "0.1"])
+    assert code == EXIT_ERROR
+    assert err.startswith(f"error: {path}: ")
+
+
 def test_tables_text(capsys):
     code, out, _ = run(capsys, ["tables"])
     assert code == EXIT_FOUND

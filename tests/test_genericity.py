@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
+from ringhopf import genericity
 from ringhopf.genericity import (
+    PerturbationBudgetError,
+    ResonanceFlag,
     detect_multiple,
     detect_resonance,
     multiplicity_forbidden_set,
@@ -295,3 +298,71 @@ def test_imaginary_resonance_impossible_for_rings():
         s = eigenvalues(r)
         flags = [f for f in detect_resonance(s, k_max=10) if f.k >= 2]
         assert flags == []
+
+
+# a double root at 0 with a zero coupling: both repairs take the full path
+ZERO_COUPLED_DOUBLE = RingParams(3, (0.0, 0.0, 3.0), (0.0, 2.0, -2.0))
+
+
+def margin_of(result):
+    c = result.perturbed.coupling_product()
+    return min(abs(c - v) for v in (*result.forbidden.values, 0.0))
+
+
+def test_remove_multiple_pins_notes_and_budget_message():
+    result = remove_multiple(ZERO_COUPLED_DOUBLE, epsilon=1e-3)
+    assert result.removed == (
+        "zero coupling b[0] replaced by 0.0005",
+        "multiple eigenvalue near 0+0j (multiplicity 2)",
+    )
+    assert 0.0 < result.delta <= 1e-3
+    assert [s[0] for s in result.forbidden.sources] == ["p_prime_root"] * 2
+    with pytest.raises(PerturbationBudgetError) as info:
+        remove_multiple(ZERO_COUPLED_DOUBLE, epsilon=1e-3, gap_tol=1.0)
+    assert str(info.value) == (
+        "achieved gap 5.164e-02 <= gap_tol 1.000e+00; nearest forbidden value -0.0"
+    )
+
+
+def test_remove_resonances_pins_notes_sources_and_budget_message(monkeypatch):
+    result = remove_resonances(ZERO_COUPLED_DOUBLE, k_max=3, epsilon=1e-3)
+    assert result.removed == ("zero coupling b[0] replaced by 0.0005",)
+    assert 0.0 < result.delta <= 1e-3
+    # resonance entries for k = 2, 3 first, then the multiplicity entries
+    kinds = [s[:-1] for s in result.forbidden.sources]
+    assert kinds == [("resonance_root", 2)] * 3 + [("resonance_root", 3)] * 3 + [
+        ("p_prime_root",)
+    ] * 2
+    # ring spectra carry no k:1 axis resonance, so a stand-in detector flags
+    # the unrepaired spectrum (double root at 0) and then every spectrum
+    monkeypatch.setattr(
+        genericity,
+        "detect_resonance",
+        lambda s, k_max, tol: [ResonanceFlag(2, 1.0)] if 0j in s.eigenvalues else [],
+    )
+    result = remove_resonances(ZERO_COUPLED_DOUBLE, k_max=3, epsilon=1e-3)
+    assert result.removed == (
+        "zero coupling b[0] replaced by 0.0005",
+        "2:1 resonance at omega=1",
+    )
+    monkeypatch.setattr(
+        genericity, "detect_resonance", lambda s, k_max, tol: [ResonanceFlag(2, 1.0)]
+    )
+    with pytest.raises(PerturbationBudgetError) as info:
+        remove_resonances(ZERO_COUPLED_DOUBLE, k_max=3, epsilon=1e-3)
+    assert str(info.value) == "resonances remain after perturbation: [(2, 1.0)]"
+
+
+def test_repairs_record_the_margin_of_c():
+    for result in (
+        remove_multiple(ZERO_COUPLED_DOUBLE, epsilon=1e-3),
+        remove_resonances(ZERO_COUPLED_DOUBLE, k_max=3, epsilon=1e-3),
+        remove_multiple(RingParams(3, (0.0, 0.0, 3.0), (1.0, 2.0, -2.0)), epsilon=1e-3),
+    ):
+        assert result.delta > 0.0
+        assert result.margin > 0.0
+        assert result.margin == margin_of(result)
+        assert result.to_dict()["margin"] == result.margin
+    identity = remove_multiple(oracles.REFERENCE_RING, epsilon=1e-3)
+    assert identity.delta == 0.0
+    assert identity.margin == margin_of(identity) > 0.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ringhopf.genericity import detect_resonance
 from ringhopf.hopf import (
     NotAHopfPointError,
     crossing_check,
@@ -16,7 +17,7 @@ from ringhopf.hopf import (
     spectral_hopf_check,
 )
 from ringhopf.model import AdmissibleOdeFamily, RingParams
-from ringhopf.spectra import Spectrum, eigenvalues
+from ringhopf.spectra import AXIS_TOL, Spectrum, _axis_omega, axis_pairs, eigenvalues
 
 
 def test_reference_ring_is_hopf_point():
@@ -145,6 +146,26 @@ def test_detect_imaginary_pair_zero_warning():
     det = detect_imaginary_pair(s)
     assert det.omega == pytest.approx(1.0)
     assert any("0:1" in w for w in det.warnings)
+
+
+def test_axis_scans_agree_on_a_chain():
+    # a chain of three roots 0.6e-8 apart near 1j: each is within AXIS_TOL of
+    # the last, though the third is 1.2e-8 from the first; plus a pair at 2j
+    chain = (1.0j, 1.0j + 0.6e-8j, 1.0j + 1.2e-8j)
+    roots = (-1.0,) + chain + tuple(m.conjugate() for m in chain) + (2.0j, -2.0j)
+    s = Spectrum(
+        eigenvalues=roots,
+        residuals=(0.0,) * len(roots),
+        pair_tolerance=1e-8,
+        tau=-1.0,
+        omega=None,
+    )
+    assert [len(g) for g in axis_pairs(s.eigenvalues)] == [3, 1]
+    det = detect_imaginary_pair(s)
+    assert det.omega is None
+    assert det.warnings == ("multiple imaginary pairs on the axis: 1, 2",)
+    assert [(f.k, f.omega) for f in detect_resonance(s, k_max=3)] == [(2, 1.0)]
+    assert _axis_omega(s.eigenvalues, AXIS_TOL) == 1.0
 
 
 def test_detect_imaginary_pair_two_pairs_blocked():

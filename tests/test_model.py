@@ -193,6 +193,21 @@ def test_load_missing_field(tmp_path):
         load_ring(path)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": None, "a": [1, 2, 3], "b": [1, 1, 1]},
+        {"n": 3, "a": [1, 2, 3], "b": [1, 1, 1], "cubic": 5},
+        {"n": 3, "a": [1, 2, 3], "b": [1, 1, 1], "lambda": None},
+    ],
+)
+def test_load_family_malformed_fields(tmp_path, doc):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(RingFormatError, match=r"family\.json: "):
+        load_family(path)
+
+
 def test_load_mismatched_lengths(tmp_path):
     path = tmp_path / "mismatch.json"
     path.write_text(json.dumps({"n": 3, "a": [1, 2, 3], "b": [1, 2]}))
