@@ -7,6 +7,10 @@ to one of finitely many values that depend only on the diagonal entries:
   * a k:1 resonance forces c = -A(lambda_i) at a root of the auxiliary
     polynomial Q_k, which is likewise independent of the couplings.
 
+c is real, so only real values of -A are kept. By Rolle every root of A'
+is real, so for A' that filter only drops np.roots rounding noise. -A is
+evaluated in product form at all roots of a polynomial at once.
+
 So a single adjustment of b_1, after replacing any zero couplings, steers c
 into the largest forbidden-value-free subinterval reachable within the
 perturbation budget.
@@ -95,27 +99,34 @@ class ForbiddenSet:
         return ForbiddenSet(self.values + other.values, self.sources + other.sources)
 
 
-def _real_forbidden_values(lam_roots, a_coeffs, source: tuple) -> ForbiddenSet:
+def _real_forbidden_values(lam_roots: np.ndarray, a, source: tuple) -> ForbiddenSet:
     """-A(lambda) at each root lambda where it is real, sourced (*source, lambda)."""
-    values, sources = [], []
-    for lam in lam_roots:
-        v = -np.polyval(a_coeffs, lam)
-        if abs(v.imag) < REAL_VALUE_TOL * (1.0 + abs(v)):
-            values.append(float(v.real))
-            sources.append((*source, complex(lam)))
-    return ForbiddenSet(values=tuple(values), sources=tuple(sources))
+    values = -np.prod(np.asarray(a) - lam_roots[:, None], axis=1)
+    keep = np.abs(values.imag) < REAL_VALUE_TOL * (1.0 + np.abs(values))
+    return ForbiddenSet(
+        values=tuple(values.real[keep].tolist()),
+        sources=tuple((*source, complex(lam)) for lam in lam_roots[keep]),
+    )
 
 
 def multiplicity_forbidden_set(params: RingParams) -> ForbiddenSet:
     """Coupling products c at which p = A + c has a multiple root.
 
     p' = A' does not involve the couplings, so its roots are fixed by a;
-    the forbidden values are -A(lambda_i) at those roots (real ones only,
-    since c is real).
+    the forbidden values are -A(lambda_i) at those roots. By Rolle every
+    root of A' is real; the real filter only drops np.roots rounding noise.
     """
     require_valid(params)
-    a_coeffs = np.array(a_poly_coeffs(params.a))
-    return _real_forbidden_values(np.roots(np.polyder(a_coeffs)), a_coeffs, ("p_prime_root",))
+    A = np.array(a_poly_coeffs(params.a))
+    return _real_forbidden_values(np.roots(np.polyder(A)), params.a, ("p_prime_root",))
+
+
+def _resonance_coeffs(A: np.ndarray, k: int) -> np.ndarray:
+    # lambda -> k lambda scales coefficient i by k^(degree - i); both
+    # products have length 2n, so Q_k has degree 2n-1
+    powers = np.array([float(k) ** e for e in range(len(A) - 1, -1, -1)])
+    dA = A[:-1] * np.arange(len(A) - 1, 0, -1)
+    return np.convolve(dA * powers[1:] * (k - 1), A) - np.convolve(dA, A * powers - A)
 
 
 def resonance_poly(params: RingParams, k: int) -> np.ndarray:
@@ -130,35 +141,19 @@ def resonance_poly(params: RingParams, k: int) -> np.ndarray:
     require_valid(params)
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k}")
-    n = params.n
-    A = np.array(a_poly_coeffs(params.a))
-    dp = np.polyder(A)
-
-    def substitute_k(coeffs: np.ndarray) -> np.ndarray:
-        deg = len(coeffs) - 1
-        powers = np.array([float(k) ** (deg - i) for i in range(len(coeffs))])
-        return coeffs * powers
-
-    A_k = substitute_k(A)
-    dp_k = substitute_k(dp)
-    first = np.polymul(dp_k * (k - 1), A)
-    second = np.polymul(dp, np.polysub(A_k, A))
-    Q = np.polysub(first, second)
-    expected_deg = 2 * n - 1
-    if len(Q) - 1 != expected_deg:
-        Q = np.concatenate([np.zeros(expected_deg + 1 - len(Q)), Q])
-    return Q
+    return _resonance_coeffs(np.array(a_poly_coeffs(params.a)), k)
 
 
 def resonance_forbidden_set(params: RingParams, k_max: int) -> ForbiddenSet:
     """Union of forbidden coupling products over Q_k roots for 2 <= k <= k_max."""
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
-    a_coeffs = np.array(a_poly_coeffs(params.a))
+    require_valid(params)
+    A = np.array(a_poly_coeffs(params.a))
     forbidden = ForbiddenSet(values=(), sources=())
     for k in range(2, k_max + 1):
-        roots = np.roots(resonance_poly(params, k))
-        forbidden |= _real_forbidden_values(roots, a_coeffs, ("resonance_root", k))
+        roots = np.roots(_resonance_coeffs(A, k))
+        forbidden |= _real_forbidden_values(roots, params.a, ("resonance_root", k))
     return forbidden
 
 
@@ -246,9 +241,11 @@ def _shift_coupling_product(
         if margin > best_margin:
             best_mid, best_margin = mid, margin
     if not math.isfinite(best_margin) or best_margin <= 0:
-        nearest = min(forbidden_values, key=lambda v: abs(v - c_now), default=None)
+        nearest = min(avoid, key=lambda v: abs(v - c_now))
         raise PerturbationBudgetError(
-            f"epsilon={epsilon} cannot clear the forbidden set; nearest value {nearest}"
+            f"epsilon={epsilon} cannot clear the forbidden set: c={c_now} moves by at most "
+            f"{half_width:.3e}, and the nearest value to avoid (forbidden, or 0) is "
+            f"{nearest}, {abs(nearest - c_now):.3e} from c"
         )
     b_new = list(b_work)
     b_new[0] = sign * best_mid / rest

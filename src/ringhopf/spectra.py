@@ -281,7 +281,8 @@ def _polish_clusters(roots, a, c: float, threshold: float) -> list[complex]:
 
     Simultaneous iteration resolves an m-fold root only to O(eps^(1/m));
     groups closer than 1e-6 of the spectral radius are replaced by the
-    Newton-refined root of p^(m-1) when its backward error confirms it.
+    Newton-refined root of p^(m-1) when its backward error confirms it, and
+    otherwise keep their own roots.
     """
     roots = list(roots)
     tol = 1e-6 * max(abs(m) for m in roots)
@@ -309,13 +310,12 @@ def _polish_clusters(roots, a, c: float, threshold: float) -> list[complex]:
             z = z - step
             if abs(step) < 1e-15 * (1.0 + abs(z)):
                 break
-        ok = abs(z - center) < tol and _eval_at(a, c, z)[2] <= threshold
-        target = z if ok else center
-        if abs(target.imag) < 1e-6 * tol:
-            target = complex(target.real, 0.0)
         for j in group:
             used[j] = True
-            out.append(complex(target))
+        if abs(z - center) < tol and _eval_at(a, c, z)[2] <= threshold:
+            out.extend([complex(z.real, 0.0) if abs(z.imag) < 1e-6 * tol else z] * m)
+        else:  # near simple roots pass the gate where their mean may not
+            out.extend(roots[j] for j in group)
     return out
 
 
@@ -447,9 +447,11 @@ def adjacency_spectrum(
     core = coeffs[: len(coeffs) - trailing_zeros] if trailing_zeros else coeffs
     roots = np.concatenate([np.roots(core), np.zeros(trailing_zeros, dtype=complex)])
     roots = _symmetrise_conjugates(roots, pair_tol)
-    values = [abs(np.polyval(coeffs, m)) for m in roots]
-    # backward error in the dense coefficients: |q(z)| / sum |q_i| |z|^i
-    etas = [_backward_error(v, np.polyval(abs(coeffs), abs(m))) for v, m in zip(values, roots)]
+    # backward error in the dense coefficients: |q(z)| / sum |q_i| |z|^i;
+    # moduli by the scalar abs, which np.abs may round differently
+    values = [abs(v) for v in np.polyval(coeffs, np.array(roots))]
+    scales = np.polyval(abs(coeffs), np.array([abs(m) for m in roots]))
+    etas = [_backward_error(v, s) for v, s in zip(values, scales)]
     return Spectrum(
         eigenvalues=tuple(complex(m) for m in roots),
         residuals=tuple(float(v) / np.abs(coeffs).max() for v in values),

@@ -6,7 +6,10 @@ the package under test, so disagreements point at the implementation:
   * characteristic polynomial by symbolic cofactor expansion,
   * eigenvalues by the dense QR solver, and certified to 50 digits in
     mpmath (dense QR loses about 1e-8 at n = 40),
-  * the auxiliary resonance polynomial built symbolically,
+  * the auxiliary resonance polynomial built symbolically, and with
+    np.polymul and np.polysub on the dense coefficients,
+  * the forbidden-set sources kept when A is evaluated by np.polyval of its
+    dense coefficients,
   * constructions of rings with prescribed spectral features (an imaginary
     pair, a double eigenvalue, a 5-node 2:1 resonance).
 
@@ -333,3 +336,36 @@ def sympy_resonance_poly(a, k: int) -> list[float]:
     if len(coeffs) - 1 < deg:
         coeffs = [0.0] * (deg + 1 - len(coeffs)) + coeffs
     return coeffs
+
+
+def polymul_resonance_poly(a, k: int) -> np.ndarray:
+    """Q_k by np.polymul and np.polysub on the dense coefficients, highest degree first."""
+    A = a_poly(a)
+    dp = np.polyder(A)
+
+    def substitute_k(coeffs: np.ndarray) -> np.ndarray:
+        deg = len(coeffs) - 1
+        return coeffs * np.array([float(k) ** (deg - i) for i in range(len(coeffs))])
+
+    first = np.polymul(substitute_k(dp) * (k - 1), A)
+    second = np.polymul(dp, np.polysub(substitute_k(A), A))
+    return np.polysub(first, second)
+
+
+def polyval_forbidden_sources(a, k_max: int) -> list[tuple]:
+    """Sources of the forbidden values, as np.polyval of the dense A keeps them.
+
+    The Q_k roots for 2 <= k <= k_max come first, then the roots of A'; a
+    root is kept where -A(lambda) is real to 1e-9 (1 + |A(lambda)|). One
+    np.polyval call takes all roots: it is elementwise Horner, so each value
+    is bitwise the one a call per root gives.
+    """
+    A = a_poly(a)
+    polys = [(("resonance_root", k), polymul_resonance_poly(a, k)) for k in range(2, k_max + 1)]
+    kept = []
+    for source, poly in polys + [(("p_prime_root",), np.polyder(A))]:
+        roots = np.roots(poly)
+        for lam, v in zip(roots, -np.polyval(A, roots)):
+            if abs(v.imag) < 1e-9 * (1.0 + abs(v)):
+                kept.append((*source, complex(lam)))
+    return kept

@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import oracles
+import ringhopf
 from ringhopf.cli import EXIT_ERROR, EXIT_FOUND, EXIT_NOT_FOUND, main
 from ringhopf.model import AdjacencyMatrix, AdmissibleOdeFamily, RingParams, save
 
@@ -213,3 +217,18 @@ def test_log_env_variable(capsys, reference_ring_file, monkeypatch):
     monkeypatch.setenv("RINGHOPF_LOG", "DEBUG")
     code, _, _ = run(capsys, ["spectrum", reference_ring_file])
     assert code == EXIT_FOUND
+
+
+def test_runtime_imports_no_test_only_package():
+    # numpy is the only runtime dependency; these are oracles for the tests
+    code = (
+        "import sys, ringhopf, ringhopf.cli\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules}"
+        " & {'scipy', 'sympy', 'mpmath', 'hypothesis'}))"
+    )
+    src = os.path.dirname(os.path.dirname(ringhopf.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -153,6 +154,40 @@ def test_resonance_poly_pointwise_identity():
             assert np.polyval(Q, z) == pytest.approx(
                 direct, rel=1e-9, abs=1e-9
             )
+
+
+def uniform_ring(n, rng):
+    return RingParams(n, tuple(rng.uniform(-3, 3, size=n)), tuple(rng.uniform(0.5, 2, size=n)))
+
+
+def test_resonance_poly_equals_the_polymul_construction():
+    rng = np.random.default_rng(11)
+    for n in range(3, 41):
+        r = uniform_ring(n, rng)
+        for k in (2, 3, 4):
+            ours = resonance_poly(r, k)
+            assert ours.tobytes() == oracles.polymul_resonance_poly(r.a, k).tobytes()
+
+
+def test_forbidden_values_equal_minus_A_in_mpmath():
+    rng = np.random.default_rng(12)
+    for n in range(3, 41):
+        r = uniform_ring(n, rng)
+        fs = resonance_forbidden_set(r, k_max=3) | multiplicity_forbidden_set(r)
+        assert len(fs.values) == len(fs.sources) >= n - 1
+        with mpmath.workdps(40):
+            for value, source in zip(fs.values, fs.sources):
+                lam = mpmath.mpc(source[-1])
+                exact = -mpmath.fprod(mpmath.mpf(v) - lam for v in r.a)
+                assert abs(value - exact.real) <= 1e-12 * abs(exact), (n, source)
+
+
+def test_kept_sources_equal_the_polyval_filter():
+    rng = np.random.default_rng(13)
+    for _ in range(1000):
+        r = uniform_ring(int(rng.integers(3, 41)), rng)
+        fs = resonance_forbidden_set(r, k_max=3) | multiplicity_forbidden_set(r)
+        assert list(fs.sources) == oracles.polyval_forbidden_sources(r.a, k_max=3), r
 
 
 def test_detect_resonance_adjacency_examples():
@@ -322,6 +357,26 @@ def test_remove_multiple_pins_notes_and_budget_message():
     assert str(info.value) == (
         "achieved gap 5.164e-02 <= gap_tol 1.000e+00; nearest forbidden value -0.0"
     )
+
+
+def test_shift_budget_message_names_c_reach_and_nearest_value():
+    # epsilon/2 times |b_2 b_3| = 2e-300 cannot move c = -4 in floating point
+    with pytest.raises(PerturbationBudgetError) as info:
+        remove_multiple(RingParams(3, (0.0, 0.0, 3.0), (1.0, 2.0, -2.0)), epsilon=1e-300)
+    assert str(info.value) == (
+        "epsilon=1e-300 cannot clear the forbidden set: c=-4.0 moves by at most "
+        "2.000e-300, and the nearest value to avoid (forbidden, or 0) is "
+        "-4.0, 0.000e+00 from c"
+    )
+
+
+def test_remove_multiple_keeps_close_simple_roots_apart():
+    # the repaired ring has simple roots 2.6e-6 apart, inside the polish
+    # radius; their means fail the backward-error gate
+    r = RingParams(6, (-2, 3, 3, 0, -2, 1), (1, 0, 1, 0, 2, 0))
+    result = remove_multiple(r, 1e-3)
+    assert result.delta == 5e-4
+    assert result.achieved_gap == pytest.approx(2.58e-6, rel=1e-2)
 
 
 def test_remove_resonances_pins_notes_sources_and_budget_message(monkeypatch):

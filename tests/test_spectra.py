@@ -199,6 +199,35 @@ def test_adjacency_defective_zeros_exact():
     assert len(zeros) == 2
 
 
+def test_adjacency_residuals_equal_the_per_root_loop():
+    rng = np.random.default_rng(21)
+    mats = [(5, oracles.ADJ_5), (6, oracles.ADJ_6)]
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        mats.append((n, tuple(tuple(int(v) for v in row) for row in rng.integers(0, 4, (n, n)))))
+    for n, rows in mats:
+        adj = AdjacencyMatrix(n, rows)
+        s = adjacency_spectrum(adj)
+        coeffs = spectra._faddeev_leverrier(adj.matrix())
+        values = [abs(np.polyval(coeffs, m)) for m in s.eigenvalues]
+        etas = [
+            spectra._backward_error(v, np.polyval(abs(coeffs), abs(m)))
+            for v, m in zip(values, s.eigenvalues)
+        ]
+        assert s.residuals == tuple(float(v) / np.abs(coeffs).max() for v in values)
+        assert s.backward_error == float(max(etas))
+
+
+def test_close_simple_roots_keep_their_aberth_values():
+    # b = (1, 5e-4, 1, 5e-4, 2, 5e-4): simple roots -2 +- 1.29e-6 and
+    # 3 +- 1.29e-6, closer than the polish radius; their means fail the gate
+    r = RingParams(6, (-2.0, 3.0, 3.0, 0.0, -2.0, 1.0), (1.0, 5e-4, 1.0, 5e-4, 2.0, 5e-4))
+    s = eigenvalues(r)
+    assert s.backward_error < 1e-12
+    assert s.min_gap() == pytest.approx(2.58e-6, rel=1e-2)
+    _match_multiset(s.eigenvalues, oracles.dense_eigvals(r), 1e-9)
+
+
 def test_omega_squared_identity_n3():
     # for an n=3 axis pair, omega^2 equals the second symmetric function of a
     rng = np.random.default_rng(6)
