@@ -51,8 +51,8 @@ def cmd_analyze(args) -> int:
             raise ValueError("--exact-b3 applies to n=3 rings only")
         b3 = hopf.solve_coupling_for_hopf(ring.a, ring.b[0], ring.b[1])
         ring = model.RingParams(3, ring.a, (ring.b[0], ring.b[1], b3))
-    spectrum = spectra.eigenvalues(ring, axis_tol=args.axis_tol)
-    detection = hopf.detect_imaginary_pair(spectrum, tol=args.axis_tol)
+    spectrum = spectra.eigenvalues(ring)
+    detection = hopf.detect_imaginary_pair(spectrum)
     doc = {"ring": ring.to_dict(), "spectrum": spectrum.to_dict()}
     if ring.n == 3:
         doc["hopf"] = hopf.hopf_conditions_3(ring).to_dict()
@@ -120,7 +120,7 @@ def cmd_phases(args) -> int:
     if args.omega is not None:
         omega = args.omega
     else:
-        spectrum = spectra.eigenvalues(ring, axis_tol=args.axis_tol)
+        spectrum = spectra.eigenvalues(ring)
         if spectrum.omega is None:
             log.info("no imaginary pair detected")
             return EXIT_NOT_FOUND
@@ -184,7 +184,7 @@ def cmd_spectrum(args) -> int:
         spectrum = spectra.adjacency_spectrum(adj)
     else:
         ring = model.load_ring(args.ring)
-        spectrum = spectra.eigenvalues(ring, axis_tol=args.axis_tol)
+        spectrum = spectra.eigenvalues(ring)
     doc = spectrum.to_dict()
     if args.kmax is not None:
         flags = genericity.detect_resonance(spectrum, k_max=args.kmax)
@@ -208,12 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="Hopf report + spectrum + phases for a ring")
     add_common(p)
     p.add_argument(
-        "--axis-tol",
-        type=_positive,
-        default=hopf.AXIS_TOL,
-        help=f"imaginary-axis tolerance (default {hopf.AXIS_TOL})",
-    )
-    p.add_argument(
         "--exact-b3",
         action="store_true",
         help="replace b3 so the n=3 product identity holds exactly",
@@ -235,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--omega", type=float, default=None, help="signed omega override")
     p.add_argument("--force", action="store_true", help="skip the eigenvalue check")
-    p.add_argument("--axis-tol", type=_positive, default=hopf.AXIS_TOL)
     p.set_defaults(func=cmd_phases)
 
     p = sub.add_parser("perturb", help="remove multiple eigenvalues or resonances")
@@ -274,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--adjacency", action="store_true", help="input is an adjacency matrix")
     p.add_argument("--kmax", type=int, default=None, help="also report k:1 resonances")
-    p.add_argument("--axis-tol", type=_positive, default=hopf.AXIS_TOL)
     p.set_defaults(func=cmd_spectrum)
 
     return parser
@@ -288,7 +280,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        model.RingFormatError,
         FileNotFoundError,
         ValueError,
         genericity.PerturbationBudgetError,

@@ -323,12 +323,7 @@ def remove_multiple(
     return _repair(params, epsilon, spectrum, found, forbidden, failure)
 
 
-def remove_resonances(
-    params: RingParams,
-    k_max: int,
-    epsilon: float,
-    tol: float = AXIS_TOL,
-) -> PerturbationResult:
+def remove_resonances(params: RingParams, k_max: int, epsilon: float) -> PerturbationResult:
     """Perturb couplings (only) so no k:1 resonance survives for k <= k_max.
 
     The forbidden coupling products come from the Q_k roots for every
@@ -338,12 +333,12 @@ def remove_resonances(
     spectrum = eigenvalues(params)
     found = [
         f"{f.k}:1 resonance at omega={f.omega:.6g}"
-        for f in detect_resonance(spectrum, k_max, tol)
+        for f in detect_resonance(spectrum, k_max, AXIS_TOL)
     ]
     forbidden = resonance_forbidden_set(params, k_max) | multiplicity_forbidden_set(params)
 
     def failure(new_spectrum: Spectrum, perturbed: RingParams) -> str | None:
-        left = [(f.k, f.omega) for f in detect_resonance(new_spectrum, k_max, tol)]
+        left = [(f.k, f.omega) for f in detect_resonance(new_spectrum, k_max, AXIS_TOL)]
         return f"resonances remain after perturbation: {left}" if left else None
 
     return _repair(params, epsilon, spectrum, found, forbidden, failure)

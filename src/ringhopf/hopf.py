@@ -128,14 +128,13 @@ def sign_constraints(params: RingParams) -> SignConstraintReport:
         )
     a1, a2, a3 = params.a
     sums = (a1 + a2, a1 + a3, a2 + a3)
-    prod = params.b[0] * params.b[1] * params.b[2]
     negatives = sum(1 for v in params.b if v < 0)
     klass = "three_negative" if negatives == 3 else "one_negative"
     return SignConstraintReport(
         pairwise_sums=sums,
         all_sums_negative=all(s < 0 for s in sums),
-        coupling_product=prod,
-        coupling_product_negative=prod < 0,
+        coupling_product=report.product_rhs,
+        coupling_product_negative=report.coupling_product_negative,
         b_sign_class=klass,
     )
 
@@ -146,17 +145,17 @@ class ImaginaryPairDetection:
     warnings: tuple[str, ...]
 
 
-def detect_imaginary_pair(spectrum: Spectrum, tol: float = AXIS_TOL) -> ImaginaryPairDetection:
+def detect_imaginary_pair(spectrum: Spectrum) -> ImaginaryPairDetection:
     """Find a single simple conjugate pair on the imaginary axis, if any.
 
     A zero eigenvalue alongside a pair is reported as a 0:1 warning rather
     than blocking detection; two distinct pairs on the axis block it.
     """
-    distinct = axis_pairs(spectrum.eigenvalues, tol)
+    distinct = axis_pairs(spectrum.eigenvalues)
     if not distinct:
         return ImaginaryPairDetection(omega=None, warnings=())
     warnings = []
-    if any(abs(m) < tol for m in spectrum.eigenvalues):
+    if any(abs(m) < AXIS_TOL for m in spectrum.eigenvalues):
         warnings.append("0:1 resonance: zero eigenvalue on the axis alongside a pair")
     omega = None
     if len(distinct) > 1:
@@ -193,7 +192,6 @@ def crossing_check(
     family: AdmissibleOdeFamily | Callable[[float], np.ndarray],
     lambda0: float,
     h: float,
-    axis_tol: float = AXIS_TOL,
 ) -> CrossingCheck:
     """Central-difference derivative of the tracked imaginary pair across lambda0.
 
@@ -203,7 +201,7 @@ def crossing_check(
     if h <= 0:
         raise ValueError("h must be positive")
     jac = family.jacobian if isinstance(family, AdmissibleOdeFamily) else family
-    pairs = axis_pairs(np.linalg.eigvals(jac(lambda0)), axis_tol)
+    pairs = axis_pairs(np.linalg.eigvals(jac(lambda0)))
     if not pairs:
         raise NotAHopfPointError(
             f"no imaginary pair detected at lambda0={lambda0}"
@@ -234,6 +232,6 @@ def crossing_check(
     )
 
 
-def spectral_hopf_check(params: RingParams, tol: float = AXIS_TOL) -> ImaginaryPairDetection:
+def spectral_hopf_check(params: RingParams) -> ImaginaryPairDetection:
     """Direct spectral route: root-find, then look for an axis pair."""
-    return detect_imaginary_pair(eigenvalues(params), tol=tol)
+    return detect_imaginary_pair(eigenvalues(params))

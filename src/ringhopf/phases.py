@@ -81,6 +81,11 @@ class PhaseProfile:
         }
 
 
+def _zero_tol(params: RingParams) -> float:
+    """|a_j| at or below this counts as a_j = 0."""
+    return ZERO_TOL_FACTOR * max(1.0, max(abs(v) for v in params.a))
+
+
 def wave_class_of(sectors) -> str:
     quads = [s.quadrant for s in sectors]
     if all(q == 2 for q in quads) or all(q == 3 for q in quads):
@@ -88,18 +93,13 @@ def wave_class_of(sectors) -> str:
     return "standing"
 
 
-def phase_shifts(
-    params: RingParams,
-    omega: float,
-    force: bool = False,
-    eigen_tol: float = EIGENVALUE_TOL,
-) -> PhaseProfile:
+def phase_shifts(params: RingParams, omega: float, force: bool = False) -> PhaseProfile:
     """Per-edge phase shifts of the eigenfunction for eigenvalue i*omega.
 
     `omega` is signed: a negative value selects the conjugate eigenvalue,
     and the resulting shifts satisfy theta_j(-w) = 2*pi - theta_j(w) mod 2*pi.
     Unless `force` is given, i*omega must actually be an eigenvalue: its
-    backward error as a root of p may be at most `eigen_tol`.
+    backward error as a root of p may be at most EIGENVALUE_TOL.
     """
     require_valid(params)
     if omega == 0:
@@ -109,13 +109,13 @@ def phase_shifts(
         raise ZeroCouplingError(f"b[{zero[0]}] = 0: phase shifts are undefined")
     if not force:
         eta = backward_error(params, 1j * omega)
-        if not eta <= eigen_tol:
+        if not eta <= EIGENVALUE_TOL:
             raise ValueError(
                 f"i*{omega} is not an eigenvalue (backward error {eta:.3e} > "
-                f"{eigen_tol:.0e}); pass force=True for exploratory use"
+                f"{EIGENVALUE_TOL:.0e}); pass force=True for exploratory use"
             )
     omega_sign = 1 if omega > 0 else -1
-    zero_tol = ZERO_TOL_FACTOR * max(1.0, max(abs(v) for v in params.a))
+    zero_tol = _zero_tol(params)
     theta = []
     sectors = []
     for a_j, b_j in zip(params.a, params.b):
@@ -146,7 +146,7 @@ class CaseClassification:
     relabeled: RingParams
 
 
-def classify_case(params: RingParams, zero_tol_factor: float = ZERO_TOL_FACTOR) -> CaseClassification:
+def classify_case(params: RingParams) -> CaseClassification:
     """Case A (all a_j < 0), B (one a_j > 0) or C (one a_j = 0), n=3 only.
 
     Cases B and C are rotated so the distinguished node sits at position 1;
@@ -157,7 +157,7 @@ def classify_case(params: RingParams, zero_tol_factor: float = ZERO_TOL_FACTOR) 
     report = hopf_conditions_3(params)
     if not report.is_hopf_point:
         raise NotAHopfPointError("case classification requires a Hopf point")
-    zero_tol = zero_tol_factor * max(1.0, max(abs(v) for v in params.a))
+    zero_tol = _zero_tol(params)
     kinds = []
     for v in params.a:
         if abs(v) <= zero_tol:

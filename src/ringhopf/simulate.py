@@ -33,9 +33,10 @@ from .spectra import eigenvalues, eigenvector_for
 TWO_PI = 2 * math.pi
 DIVERGENCE_NORM = 1e6
 DEFAULT_STEPS_PER_PERIOD = 4000
+MEASURE_CYCLES = 10  # periods averaged, and the Fourier window, of a measurement
 # find_limit_cycle lengthens a tail that holds too few cycles by at most
-# this many predicted periods: enough, at the default measure_cycles, for
-# a true period about twice the linear one
+# this many predicted periods: enough, at MEASURE_CYCLES, for a true period
+# about twice the linear one
 MAX_EXTRA_PERIODS = 12
 
 
@@ -183,7 +184,7 @@ def _node1_crossings(times: np.ndarray, states: np.ndarray):
     return dev, _upward_crossings(times, dev)
 
 
-def measure_cycle(traj: Trajectory, min_cycles: int = 10, period_tol: float = 0.01) -> CycleMeasurement:
+def measure_cycle(traj: Trajectory, period_tol: float = 0.01) -> CycleMeasurement:
     """Extract period, fundamental Fourier coefficients and phase differences.
 
     The period comes from successive upward zero crossings of node 1's
@@ -198,12 +199,12 @@ def measure_cycle(traj: Trajectory, min_cycles: int = 10, period_tol: float = 0.
             f"no cycle: node-1 oscillation amplitude {amplitude:.3e} at "
             f"lambda={traj.lam}"
         )
-    if len(crossings) < min_cycles + 1:
+    if len(crossings) < MEASURE_CYCLES + 1:
         raise NoCycleError(
             f"no cycle: only {max(len(crossings) - 1, 0)} full cycles observed "
             f"at lambda={traj.lam}"
         )
-    periods = np.diff(crossings[-(min_cycles + 1):])
+    periods = np.diff(crossings[-(MEASURE_CYCLES + 1):])
     period = float(periods.mean())
     spread = float(periods.max() - periods.min())
     if spread > period_tol * period:
@@ -211,7 +212,7 @@ def measure_cycle(traj: Trajectory, min_cycles: int = 10, period_tol: float = 0.
             f"no cycle: period spread {spread:.3e} exceeds {period_tol} of "
             f"mean period {period:.6g} at lambda={traj.lam}"
         )
-    cycles = min(min_cycles, int((traj.times[-1] - traj.times[0]) / period))
+    cycles = min(MEASURE_CYCLES, int((traj.times[-1] - traj.times[0]) / period))
     window_steps = int(round(cycles * period / traj.step))
     window_steps = min(window_steps, len(traj.times) - 1)
     t = traj.times[-(window_steps + 1):]
@@ -252,34 +253,37 @@ def find_limit_cycle(
     settle_time: float | None = None,
     tol: float = 0.01,
     h: float | None = None,
-    x0=None,
-    measure_cycles: int = 10,
 ) -> CycleMeasurement:
     """Integrate past the transient and measure the limit cycle at `lam`.
 
-    The initial condition defaults to 0.1*sqrt(|lam|) times the real part
-    of the critical eigenvector, which starts close to the expected orbit.
-    The measured tail spans measure_cycles + 2 linear periods 2*pi/omega.
+    The hunt starts from 0.1*sqrt(|lam|) times the real part of the
+    critical eigenvector, close to the expected orbit. At lam = 0, the Hopf
+    point, that seed is the equilibrium, so NoCycleError comes at once.
+    The measured tail spans MEASURE_CYCLES + 2 linear periods 2*pi/omega.
     The cubic lengthens the true period (by 12.7% on the reference ring at
-    lam = 0.1), so when the tail holds fewer than measure_cycles + 1 upward
+    lam = 0.1), so when the tail holds fewer than MEASURE_CYCLES + 1 upward
     crossings of node 1 the integration goes on in whole linear periods,
     at most MAX_EXTRA_PERIODS of them, and the longer tail is measured.
     """
+    if lam == 0:
+        raise NoCycleError(
+            f"no cycle: lambda={lam} is the Hopf point, where no cycle branches off "
+            "and the seed 0.1*sqrt(|lambda|)*Re u is the equilibrium"
+        )
     u, omega = _critical_eigenvector(family)
     period_pred = TWO_PI / omega
     if h is None:
         h = period_pred / DEFAULT_STEPS_PER_PERIOD
     if settle_time is None:
         settle_time = max(40 * period_pred, 4.0 / max(abs(lam), 1e-6))
-    if x0 is None:
-        x0 = 0.1 * math.sqrt(abs(lam)) * u.real
-    measure_time = (measure_cycles + 2) * period_pred
+    x0 = 0.1 * math.sqrt(abs(lam)) * u.real
+    measure_time = (MEASURE_CYCLES + 2) * period_pred
     traj = integrate(family, x0, settle_time + measure_time, h, lam=lam)
     keep = int(round(measure_time / h)) + 1
     times, states = traj.times[-keep:], traj.states[-keep:]
     extra = 0
     while extra < MAX_EXTRA_PERIODS:
-        missing = measure_cycles + 1 - len(_node1_crossings(times, states)[1])
+        missing = MEASURE_CYCLES + 1 - len(_node1_crossings(times, states)[1])
         if missing <= 0:
             break
         periods = min(missing + 1, MAX_EXTRA_PERIODS - extra)
@@ -288,7 +292,7 @@ def find_limit_cycle(
         states = np.concatenate((states, more.states[1:]))
         extra += periods
     tail = Trajectory(times=times, states=states, lam=lam, step=h)
-    return measure_cycle(tail, min_cycles=measure_cycles, period_tol=tol)
+    return measure_cycle(tail, period_tol=tol)
 
 
 @dataclass(frozen=True)

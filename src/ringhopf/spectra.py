@@ -53,10 +53,7 @@ class CharPoly:
     coefficients: tuple[float, ...]  # dense, highest degree first
 
     def evaluate(self, z: complex) -> complex:
-        acc = 1.0 + 0.0j
-        for a in self.a_factors:
-            acc *= a - z
-        return acc + self.c
+        return _eval_at(self.a_factors, self.c, z)[0]
 
     def max_coefficient(self) -> float:
         return max(abs(v) for v in self.coefficients)
@@ -228,14 +225,14 @@ def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
     raise RootFindingError(f"{reason} after {sweeps} sweeps")
 
 
-def _symmetrise_conjugates(roots, pair_tol: float) -> list[complex]:
+def _symmetrise_conjugates(roots) -> list[complex]:
     """Force the root multiset to be exactly self-conjugate.
 
-    Roots within pair_tol times the spectral radius of the real axis are real.
+    Roots within PAIR_TOL times the spectral radius of the real axis are real.
     """
     out = []
     roots = [complex(m) for m in roots]
-    pair_tol *= max(abs(m) for m in roots)
+    pair_tol = PAIR_TOL * max(abs(m) for m in roots)
     roots.sort(key=lambda m: (m.real, abs(m.imag), m.imag))
     used = [False] * len(roots)
     for i, mu in enumerate(roots):
@@ -313,7 +310,7 @@ def _polish_clusters(roots, a, c: float, threshold: float) -> list[complex]:
         for j in group:
             used[j] = True
         if abs(z - center) < tol and _eval_at(a, c, z)[2] <= threshold:
-            out.extend([complex(z.real, 0.0) if abs(z.imag) < 1e-6 * tol else z] * m)
+            out.extend([z] * m)
         else:  # near simple roots pass the gate where their mean may not
             out.extend(roots[j] for j in group)
     return out
@@ -343,7 +340,6 @@ def _axis_omega(roots, axis_tol: float) -> float | None:
 def eigenvalues(
     params: RingParams,
     residual_tol: float = RESIDUAL_TOL,
-    pair_tol: float = PAIR_TOL,
     axis_tol: float = AXIS_TOL,
 ) -> Spectrum:
     """All n eigenvalues of the ring Jacobian, each with backward error <= residual_tol."""
@@ -352,8 +348,7 @@ def eigenvalues(
     roots, sweeps = _aberth_roots(a, c, residual_tol)
     # polish first: the two halves of a double root may both stop off the axis
     roots = _polish_clusters(roots, a, c, residual_tol)
-    roots = _symmetrise_conjugates(roots, pair_tol)
-    roots = sorted(roots, key=lambda m: (m.real, m.imag))
+    roots = _symmetrise_conjugates(roots)
     evaluated = [_eval_at(a, c, m) for m in roots]
     etas = [eta for _, _, eta in evaluated]
     reason = _gate(etas, residual_tol)
@@ -362,7 +357,7 @@ def eigenvalues(
     return Spectrum(
         eigenvalues=tuple(complex(m) for m in roots),
         residuals=tuple(abs(p) for p, _, _ in evaluated),
-        pair_tolerance=pair_tol,
+        pair_tolerance=PAIR_TOL,
         tau=params.trace(),
         omega=_axis_omega(roots, axis_tol),
         iterations=sweeps,
@@ -370,12 +365,7 @@ def eigenvalues(
     )
 
 
-def eigenvector_for(
-    params: RingParams,
-    mu: complex,
-    closure_tol: float = CLOSURE_TOL,
-    residual_tol: float = EIGENVECTOR_RESIDUAL_TOL,
-) -> Eigenvector:
+def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
     """Eigenvector from the recurrence u_{j+1} = (mu - a_j)/b_j * u_j, u_1 = 1."""
     require_valid(params)
     zero = [j for j, v in enumerate(params.b) if v == 0.0]
@@ -388,15 +378,16 @@ def eigenvector_for(
     for j in range(params.n - 1):
         entries.append(entries[-1] * (mu - params.a[j]) / params.b[j])
     closure = entries[-1] * (mu - params.a[-1]) / params.b[-1]
-    if abs(closure - 1.0) > closure_tol:
+    if abs(closure - 1.0) > CLOSURE_TOL:
         raise ValueError(
-            f"closure product {closure} differs from 1 by more than {closure_tol}: "
-            f"{mu} is not an eigenvalue"
+            f"closure product {closure} differs from 1 by {abs(closure - 1.0):.3e} > "
+            f"CLOSURE_TOL {CLOSURE_TOL:.0e} at mu={mu}, whose backward error as a root "
+            f"of p is {backward_error(params, mu):.3e}"
         )
     u = np.array(entries)
     J = params.jacobian()
     residual = np.abs(J @ u - mu * u).max()
-    if residual > residual_tol * np.abs(u).max():
+    if residual > EIGENVECTOR_RESIDUAL_TOL * np.abs(u).max():
         raise ValueError(
             f"eigenvector residual {residual:.3e} exceeds tolerance for mu={mu}"
         )
@@ -428,11 +419,7 @@ def _faddeev_leverrier(A: np.ndarray) -> np.ndarray:
     return np.where(close, snapped, coeffs)
 
 
-def adjacency_spectrum(
-    adj: AdjacencyMatrix,
-    pair_tol: float = PAIR_TOL,
-    axis_tol: float = AXIS_TOL,
-) -> Spectrum:
+def adjacency_spectrum(adj: AdjacencyMatrix) -> Spectrum:
     """Eigenvalues of a raw adjacency matrix.
 
     Works through the exact integer characteristic polynomial rather than
@@ -441,12 +428,8 @@ def adjacency_spectrum(
     """
     A = adj.matrix()
     coeffs = _faddeev_leverrier(A)
-    trailing_zeros = 0
-    while trailing_zeros < len(coeffs) - 1 and coeffs[-1 - trailing_zeros] == 0.0:
-        trailing_zeros += 1
-    core = coeffs[: len(coeffs) - trailing_zeros] if trailing_zeros else coeffs
-    roots = np.concatenate([np.roots(core), np.zeros(trailing_zeros, dtype=complex)])
-    roots = _symmetrise_conjugates(roots, pair_tol)
+    # np.roots strips the trailing zero coefficients and returns exact zero roots for them
+    roots = _symmetrise_conjugates(np.roots(coeffs))
     # backward error in the dense coefficients: |q(z)| / sum |q_i| |z|^i;
     # moduli by the scalar abs, which np.abs may round differently
     values = [abs(v) for v in np.polyval(coeffs, np.array(roots))]
@@ -455,8 +438,8 @@ def adjacency_spectrum(
     return Spectrum(
         eigenvalues=tuple(complex(m) for m in roots),
         residuals=tuple(float(v) / np.abs(coeffs).max() for v in values),
-        pair_tolerance=pair_tol,
+        pair_tolerance=PAIR_TOL,
         tau=float(np.trace(A)),
-        omega=_axis_omega(roots, axis_tol),
+        omega=_axis_omega(roots, AXIS_TOL),
         backward_error=float(max(etas)),
     )

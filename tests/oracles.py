@@ -352,6 +352,16 @@ def polymul_resonance_poly(a, k: int) -> np.ndarray:
     return np.polysub(first, second)
 
 
+def stripped_adjacency_roots(coeffs) -> np.ndarray:
+    """Roots of a monic polynomial: np.roots of it without its trailing zero
+    coefficients, then one exact zero root for each of them."""
+    zeros = 0
+    while zeros < len(coeffs) - 1 and coeffs[-1 - zeros] == 0.0:
+        zeros += 1
+    core = coeffs[: len(coeffs) - zeros]
+    return np.concatenate([np.roots(core), np.zeros(zeros, dtype=complex)])
+
+
 def polyval_forbidden_sources(a, k_max: int) -> list[tuple]:
     """Sources of the forbidden values, as np.polyval of the dense A keeps them.
 

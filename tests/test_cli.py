@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 import ringhopf
+from ringhopf import simulate
 from ringhopf.cli import EXIT_ERROR, EXIT_FOUND, EXIT_NOT_FOUND, main
 from ringhopf.model import AdjacencyMatrix, AdmissibleOdeFamily, RingParams, save
 
@@ -181,6 +182,21 @@ def test_simulate_no_cycle_not_found(capsys, tmp_path):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1][0] == "-0.1"
     assert rows[1][-1] != ""
+
+
+def test_simulate_at_the_hopf_point_is_not_found(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate was called")
+
+    monkeypatch.setattr(simulate, "integrate", refuse)
+    path = tmp_path / "family.json"
+    save(AdmissibleOdeFamily(oracles.REFERENCE_RING), path)
+    code, out, _ = run(capsys, ["simulate", str(path), "--lambda", "0"])
+    assert code == EXIT_NOT_FOUND
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1][0] == "0.0"
+    assert rows[1][1] == ""
+    assert rows[1][-1].startswith("no cycle: lambda=0.0 is the Hopf point")
 
 
 def test_simulate_try_other_side(capsys, tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ringhopf import simulate
 from ringhopf.model import AdmissibleOdeFamily, RingParams
 from ringhopf.phases import phase_shifts
 from ringhopf.simulate import (
@@ -178,6 +179,22 @@ def test_decaying_side_has_no_cycle():
     fam = AdmissibleOdeFamily(oracles.REFERENCE_RING)
     with pytest.raises(NoCycleError):
         find_limit_cycle(fam, -0.1, settle_time=80.0)
+
+
+def _refuse_integration(*args, **kwargs):
+    raise AssertionError("integrate was called")
+
+
+def test_hunt_at_the_hopf_point_raises_before_integrating(monkeypatch):
+    # the default settle time at lambda = 0 is 4e6, about 2.5e9 RK4 steps,
+    # and the default seed is the equilibrium: the hunt must not start
+    monkeypatch.setattr(simulate, "integrate", _refuse_integration)
+    fam = AdmissibleOdeFamily(oracles.REFERENCE_RING)
+    with pytest.raises(NoCycleError, match=r"lambda=0\.0 is the Hopf point"):
+        find_limit_cycle(fam, 0.0)
+    rows = branch_sweep(fam, [0.0])
+    assert rows[0].measurement is None
+    assert "lambda=0.0 is the Hopf point" in rows[0].diagnostic
 
 
 def test_positive_cubic_diverges():

@@ -167,6 +167,20 @@ def test_eigenvector_rejects_non_eigenvalue():
         eigenvector_for(oracles.REFERENCE_RING, 0.7 + 0.2j)
 
 
+def test_eigenvector_closure_message_names_distance_threshold_and_backward_error():
+    # an eigenvalue to rounding whose closure product still misses 1 by
+    # 1.5e-8: the message says so, rather than calling mu no eigenvalue
+    r = RingParams(4, (2.87, 0.88, -1.14, -0.78), (0.01, -0.16, 0.02, -0.05))
+    mu = max(eigenvalues(r).eigenvalues, key=lambda m: m.real)
+    assert spectra.backward_error(r, mu) < 1e-15
+    with pytest.raises(
+        ValueError,
+        match=r"^closure product \S+ differs from 1 by 1\.53\de-08 > CLOSURE_TOL 1e-08 "
+        r"at mu=\(2\.87\d*\+0j\), whose backward error as a root of p is \d\.\d{3}e-1[67]$",
+    ):
+        eigenvector_for(r, mu)
+
+
 def test_eigenvector_rejects_zero_coupling():
     r = RingParams(3, (1.0, 2.0, 3.0), (0.0, 1.0, 1.0))
     with pytest.raises(ZeroCouplingError):
@@ -191,6 +205,25 @@ def test_adjacency_spectrum_six_node():
     adj = AdjacencyMatrix(6, oracles.ADJ_6)
     s = adjacency_spectrum(adj)
     _match_multiset(s.eigenvalues, oracles.ADJ_6_SPECTRUM, 1e-9)
+
+
+def test_adjacency_roots_equal_the_strip_and_concatenate_construction():
+    rng = np.random.default_rng(8)
+    mats = [oracles.ADJ_5, oracles.ADJ_6, ((0, 0), (0, 0)), ((0, 1, 0), (0, 0, 1), (0, 0, 0))]
+    for i in range(300):
+        n = int(rng.integers(2, 8))
+        m = rng.integers(0, 4, (n, n))
+        if i % 3 == 1:  # nilpotent: strictly upper triangular, relabelled
+            perm = rng.permutation(n)
+            m = np.triu(m, 1)[perm][:, perm]
+        elif i % 3 == 2:
+            m[:, int(rng.integers(n))] = 0
+        mats.append(tuple(tuple(int(v) for v in row) for row in m))
+    for rows in mats:
+        adj = AdjacencyMatrix(len(rows), rows)
+        roots = oracles.stripped_adjacency_roots(spectra._faddeev_leverrier(adj.matrix()))
+        want = spectra._symmetrise_conjugates(roots)
+        assert repr(adjacency_spectrum(adj).eigenvalues) == repr(tuple(want))
 
 
 def test_adjacency_defective_zeros_exact():
