@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import logging
+import math
 import os
 import sys
 
@@ -29,8 +30,8 @@ EXIT_NOT_FOUND = 2
 
 def _positive(value: str) -> float:
     v = float(value)
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return v
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import RingParams, require_valid
+from .model import Record, RingParams, require_valid
 from .spectra import AXIS_TOL, Spectrum, a_poly_coeffs, axis_pairs, eigenvalues
 
 GAP_TOL_FACTOR = 1e-7
@@ -50,6 +50,8 @@ def detect_multiple(spectrum: Spectrum, gap_tol: float | None = None) -> list[Ei
     """Clusters of eigenvalues closer than gap_tol (default scale-relative)."""
     if gap_tol is None:
         gap_tol = default_gap_tol(spectrum)
+    if not 0 < gap_tol < math.inf:
+        raise ValueError(f"gap_tol must be positive and finite, got {gap_tol}")
     mus = list(spectrum.eigenvalues)
     parent = list(range(len(mus)))
 
@@ -82,18 +84,9 @@ def detect_multiple(spectrum: Spectrum, gap_tol: float | None = None) -> list[Ei
 
 
 @dataclass(frozen=True)
-class ForbiddenSet:
+class ForbiddenSet(Record):
     values: tuple[float, ...]
     sources: tuple[tuple, ...]  # ("p_prime_root", lam) or ("resonance_root", k, lam)
-
-    def to_dict(self) -> dict:
-        def jsonable(v):
-            return [v.real, v.imag] if isinstance(v, complex) else v
-
-        return {
-            "values": list(self.values),
-            "sources": [[jsonable(v) for v in s] for s in self.sources],
-        }
 
     def __or__(self, other: ForbiddenSet) -> ForbiddenSet:
         return ForbiddenSet(self.values + other.values, self.sources + other.sources)
@@ -158,12 +151,9 @@ def resonance_forbidden_set(params: RingParams, k_max: int) -> ForbiddenSet:
 
 
 @dataclass(frozen=True)
-class ResonanceFlag:
+class ResonanceFlag(Record):
     k: int  # 0 encodes the 0:1 flag (zero eigenvalue alongside a pair)
     omega: float
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "omega": self.omega}
 
 
 def detect_resonance(spectrum: Spectrum, k_max: int, tol: float = AXIS_TOL) -> list[ResonanceFlag]:
@@ -182,7 +172,7 @@ def detect_resonance(spectrum: Spectrum, k_max: int, tol: float = AXIS_TOL) -> l
 
 
 @dataclass(frozen=True)
-class PerturbationResult:
+class PerturbationResult(Record):
     original: RingParams
     perturbed: RingParams
     delta: float
@@ -190,17 +180,6 @@ class PerturbationResult:
     removed: tuple[str, ...]
     forbidden: ForbiddenSet
     margin: float  # distance from the final c to the nearest forbidden value or 0
-
-    def to_dict(self) -> dict:
-        return {
-            "original": self.original.to_dict(),
-            "perturbed": self.perturbed.to_dict(),
-            "delta": self.delta,
-            "achieved_gap": self.achieved_gap,
-            "removed": list(self.removed),
-            "forbidden": self.forbidden.to_dict(),
-            "margin": self.margin,
-        }
 
 
 def _dezero_couplings(b: tuple[float, ...], epsilon: float) -> tuple[list[float], list[str]]:
@@ -265,8 +244,8 @@ def _repair(
     With nothing found and no zero coupling, params comes back unchanged.
     `failure(new_spectrum, perturbed)` says why a repaired ring fails, or None.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not found and all(v != 0.0 for v in params.b):
         perturbed, new_spectrum, notes = params, spectrum, []
     else:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import AdmissibleOdeFamily, RingParams
+from .model import AdmissibleOdeFamily, Record, RingParams
 from .spectra import AXIS_TOL, Spectrum, axis_pairs, eigenvalues
 
 PRODUCT_REL_TOL = 1e-9
@@ -45,6 +45,15 @@ class HopfReport:
     @property
     def is_hopf_point(self) -> bool:
         return self.positivity and self.product_identity
+
+    def not_a_hopf_point(self, need: str) -> NotAHopfPointError:
+        """The error for `need`: omega^2, the identity gap at PRODUCT_REL_TOL, the trace."""
+        tol = PRODUCT_REL_TOL * max(1.0, abs(self.product_lhs), abs(self.product_rhs))
+        return NotAHopfPointError(
+            f"{need}: omega^2 = {self.omega_sq:.6g} (needs > 0), |lhs - rhs| = "
+            f"{abs(self.product_lhs - self.product_rhs):.3e} (tolerance {tol:.3e}), "
+            f"trace {self.trace:.6g}"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -102,30 +111,19 @@ def solve_coupling_for_hopf(a: tuple[float, float, float], b1: float, b2: float)
 
 
 @dataclass(frozen=True)
-class SignConstraintReport:
+class SignConstraintReport(Record):
     pairwise_sums: tuple[float, float, float]
     all_sums_negative: bool
     coupling_product: float
     coupling_product_negative: bool
     b_sign_class: str  # "three_negative" or "one_negative"
 
-    def to_dict(self) -> dict:
-        return {
-            "pairwise_sums": list(self.pairwise_sums),
-            "all_sums_negative": self.all_sums_negative,
-            "coupling_product": self.coupling_product,
-            "coupling_product_negative": self.coupling_product_negative,
-            "b_sign_class": self.b_sign_class,
-        }
-
 
 def sign_constraints(params: RingParams) -> SignConstraintReport:
     """Sign consequences of Hopf bifurcation from a stable equilibrium (n=3)."""
     report = hopf_conditions_3(params)
     if not (report.is_hopf_point and report.trace < 0):
-        raise NotAHopfPointError(
-            "sign constraints require an n=3 Hopf point with negative trace"
-        )
+        raise report.not_a_hopf_point("sign constraints require an n=3 Hopf point with negative trace")
     a1, a2, a3 = params.a
     sums = (a1 + a2, a1 + a3, a2 + a3)
     negatives = sum(1 for v in params.b if v < 0)
@@ -171,21 +169,12 @@ def detect_imaginary_pair(spectrum: Spectrum) -> ImaginaryPairDetection:
 
 
 @dataclass(frozen=True)
-class CrossingCheck:
+class CrossingCheck(Record):
     lambdas: tuple[float, float, float]
     sigma: tuple[float, float, float]
     rho: tuple[float, float, float]
     dsigma_dlambda: float
     drho_dlambda: float
-
-    def to_dict(self) -> dict:
-        return {
-            "lambdas": list(self.lambdas),
-            "sigma": list(self.sigma),
-            "rho": list(self.rho),
-            "dsigma_dlambda": self.dsigma_dlambda,
-            "drho_dlambda": self.drho_dlambda,
-        }
 
 
 def crossing_check(
@@ -201,10 +190,13 @@ def crossing_check(
     if h <= 0:
         raise ValueError("h must be positive")
     jac = family.jacobian if isinstance(family, AdmissibleOdeFamily) else family
-    pairs = axis_pairs(np.linalg.eigvals(jac(lambda0)))
+    eigs0 = np.linalg.eigvals(jac(lambda0))
+    pairs = axis_pairs(eigs0)
     if not pairs:
+        nearest = complex(min(eigs0, key=lambda m: abs(m.real)))
         raise NotAHopfPointError(
-            f"no imaginary pair detected at lambda0={lambda0}"
+            f"no imaginary pair detected at lambda0={lambda0}: the eigenvalue nearest the axis "
+            f"is {nearest:.6g}, |Re| {abs(nearest.real):.3e} against AXIS_TOL {AXIS_TOL:.0e}"
         )
     mu0 = min((m for group in pairs for m in group), key=lambda m: abs(m.real))
 

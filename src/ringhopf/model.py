@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,26 @@ class RingFormatError(ValueError):
     """A ring document could not be parsed or has inconsistent dimensions."""
 
 
+class Record:
+    """A result dataclass whose JSON is its fields, in declaration order."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+
+
+def _jsonable(value):
+    """Tuples as lists, complex numbers as [re, im], records as objects."""
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
-class RingParams:
+class RingParams(Record):
     """Linearisation data of an n-node unidirectional ring."""
 
     n: int
@@ -61,9 +79,6 @@ class RingParams:
     def coupling_product(self) -> float:
         """Signed product c = (-1)^(n+1) b_1 ... b_n (the constant shift in p)."""
         return float((-1) ** (self.n + 1) * math.prod(self.b))
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "a": list(self.a), "b": list(self.b)}
 
 
 @dataclass(frozen=True)

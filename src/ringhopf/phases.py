@@ -39,26 +39,21 @@ class RatioSector:
             return str(self.quadrant)
         return "pi/2" if abs(self.axis_angle - math.pi / 2) < 1e-12 else "3pi/2"
 
-    def conjugate(self) -> "RatioSector":
-        if self.quadrant is not None:
-            return RatioSector(quadrant={1: 4, 2: 3, 3: 2, 4: 1}[self.quadrant])
-        flipped = math.pi / 2 if self.axis_angle > math.pi else 3 * math.pi / 2
-        return RatioSector(axis_angle=flipped)
-
 
 def quadrant_of_ratio(a_j: float, b_j: float, omega_sign: int = 1, zero_tol: float = 0.0) -> RatioSector:
-    """Sector of (i*omega - a_j)/b_j from the signs of a_j, b_j, omega."""
+    """Sector of (i*omega - a_j)/b_j from the signs of a_j, b_j, omega.
+
+    Re has the sign of -a_j*b_j and Im the sign of omega*b_j.
+    """
     if b_j == 0:
         raise ZeroCouplingError("b_j = 0: the phase ratio divides by b_j")
     if omega_sign not in (1, -1):
         raise ValueError("omega_sign must be +1 or -1")
+    upper = (omega_sign > 0) == (b_j > 0)
     if abs(a_j) <= zero_tol:
-        sector = RatioSector(axis_angle=math.pi / 2 if b_j > 0 else 3 * math.pi / 2)
-    elif a_j < 0:
-        sector = RatioSector(quadrant=1 if b_j > 0 else 3)
-    else:
-        sector = RatioSector(quadrant=2 if b_j > 0 else 4)
-    return sector if omega_sign == 1 else sector.conjugate()
+        return RatioSector(axis_angle=math.pi / 2 if upper else 3 * math.pi / 2)
+    right = (a_j < 0) == (b_j > 0)
+    return RatioSector(quadrant=(1 if right else 2) if upper else (4 if right else 3))
 
 
 @dataclass(frozen=True)
@@ -156,7 +151,7 @@ def classify_case(params: RingParams) -> CaseClassification:
         raise ValueError("case classification applies to n=3 rings only")
     report = hopf_conditions_3(params)
     if not report.is_hopf_point:
-        raise NotAHopfPointError("case classification requires a Hopf point")
+        raise report.not_a_hopf_point("case classification requires a Hopf point")
     zero_tol = _zero_tol(params)
     kinds = []
     for v in params.a:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AdmissibleOdeFamily
+from .model import AdmissibleOdeFamily, Record
 from .phases import PhaseProfile
 from .spectra import eigenvalues, eigenvector_for
 
@@ -34,6 +34,7 @@ TWO_PI = 2 * math.pi
 DIVERGENCE_NORM = 1e6
 DEFAULT_STEPS_PER_PERIOD = 4000
 MEASURE_CYCLES = 10  # periods averaged, and the Fourier window, of a measurement
+AMPLITUDE_FLOOR = 1e-6  # node 1 must swing more than this to count as a cycle
 # find_limit_cycle lengthens a tail that holds too few cycles by at most
 # this many predicted periods: enough, at MEASURE_CYCLES, for a true period
 # about twice the linear one
@@ -194,20 +195,21 @@ def measure_cycle(traj: Trajectory, period_tol: float = 0.01) -> CycleMeasuremen
     """
     dev, crossings = _node1_crossings(traj.times, traj.states)
     amplitude = np.abs(dev).max()
-    if amplitude < 1e-6:
+    if amplitude < AMPLITUDE_FLOOR:
         raise NoCycleError(
-            f"no cycle: node-1 oscillation amplitude {amplitude:.3e} at "
-            f"lambda={traj.lam}"
+            f"no cycle: node-1 oscillation amplitude {amplitude:.3e} is below the floor "
+            f"{AMPLITUDE_FLOOR:.0e} at lambda={traj.lam}"
         )
     if len(crossings) < MEASURE_CYCLES + 1:
         raise NoCycleError(
             f"no cycle: only {max(len(crossings) - 1, 0)} full cycles observed "
+            f"({len(crossings)} upward crossings of node 1, {MEASURE_CYCLES + 1} needed) "
             f"at lambda={traj.lam}"
         )
     periods = np.diff(crossings[-(MEASURE_CYCLES + 1):])
     period = float(periods.mean())
     spread = float(periods.max() - periods.min())
-    if spread > period_tol * period:
+    if not spread <= period_tol * period:
         raise NoCycleError(
             f"no cycle: period spread {spread:.3e} exceeds {period_tol} of "
             f"mean period {period:.6g} at lambda={traj.lam}"
@@ -315,17 +317,10 @@ def branch_sweep(family: AdmissibleOdeFamily, lambdas, **kwargs) -> list[SweepRo
 
 
 @dataclass(frozen=True)
-class PhaseComparison:
+class PhaseComparison(Record):
     distances: tuple[float, ...]
     max_distance: float
     mean_distance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "distances": list(self.distances),
-            "max_distance": self.max_distance,
-            "mean_distance": self.mean_distance,
-        }
 
 
 def circular_distance(x: float, y: float) -> float:

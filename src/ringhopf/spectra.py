@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AdjacencyMatrix, RingParams, require_valid
+from .model import AdjacencyMatrix, Record, RingParams, require_valid
 
 RESIDUAL_TOL = 1e-10  # backward-error threshold of the gate
 FREEZE_TOL = 16 * 2.0**-52  # the rounding floor of the backward error
@@ -60,7 +60,7 @@ class CharPoly:
 
 
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     eigenvalues: tuple[complex, ...]
     residuals: tuple[float, ...]
     pair_tolerance: float
@@ -83,17 +83,6 @@ class Spectrum:
             for i in range(len(mus))
             for j in range(i + 1, len(mus))
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [[m.real, m.imag] for m in self.eigenvalues],
-            "residuals": list(self.residuals),
-            "pair_tolerance": self.pair_tolerance,
-            "tau": self.tau,
-            "omega": self.omega,
-            "iterations": self.iterations,
-            "backward_error": self.backward_error,
-        }
 
 
 @dataclass(frozen=True)
@@ -378,7 +367,7 @@ def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
     for j in range(params.n - 1):
         entries.append(entries[-1] * (mu - params.a[j]) / params.b[j])
     closure = entries[-1] * (mu - params.a[-1]) / params.b[-1]
-    if abs(closure - 1.0) > CLOSURE_TOL:
+    if not abs(closure - 1.0) <= CLOSURE_TOL:
         raise ValueError(
             f"closure product {closure} differs from 1 by {abs(closure - 1.0):.3e} > "
             f"CLOSURE_TOL {CLOSURE_TOL:.0e} at mu={mu}, whose backward error as a root "
@@ -387,7 +376,7 @@ def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
     u = np.array(entries)
     J = params.jacobian()
     residual = np.abs(J @ u - mu * u).max()
-    if residual > EIGENVECTOR_RESIDUAL_TOL * np.abs(u).max():
+    if not residual <= EIGENVECTOR_RESIDUAL_TOL * np.abs(u).max():
         raise ValueError(
             f"eigenvector residual {residual:.3e} exceeds tolerance for mu={mu}"
         )

@@ -248,3 +248,24 @@ def test_runtime_imports_no_test_only_package():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("perturb", "--epsilon"),
+        ("perturb", "--gap-tol"),
+        ("simulate", "--settle"),
+        ("simulate", "--step"),
+        ("simulate", "--cycle-tol"),
+    ],
+)
+def test_positive_options_reject_nan_and_inf(capsys, reference_ring_file, command, option, value):
+    argv = [command, reference_ring_file]
+    if command == "simulate":
+        argv += ["--lambda", "0.1", "--settle", "60"]
+    with pytest.raises(SystemExit) as info:
+        main(argv + [option, value])
+    assert info.value.code == 2
+    assert f"argument {option}: must be positive and finite, got {value}" in capsys.readouterr().err

@@ -421,3 +421,24 @@ def test_repairs_record_the_margin_of_c():
     identity = remove_multiple(oracles.REFERENCE_RING, epsilon=1e-3)
     assert identity.delta == 0.0
     assert identity.margin == margin_of(identity) > 0.0
+
+
+DOUBLE_AT_TWO = RingParams(3, (0.0, 0.0, 3.0), (1.0, 2.0, -2.0))  # p = -(z - 2)^2 (z + 1)
+
+
+@pytest.mark.parametrize("gap_tol", [math.nan, math.inf, 0.0, -1.0])
+def test_gap_tol_must_be_positive_and_finite(gap_tol):
+    # a NaN gap found no cluster, and the double root at 2 came back unrepaired
+    with pytest.raises(ValueError, match=rf"^gap_tol must be positive and finite, got {gap_tol}$"):
+        detect_multiple(eigenvalues(DOUBLE_AT_TWO), gap_tol)
+    with pytest.raises(ValueError, match="gap_tol"):
+        remove_multiple(DOUBLE_AT_TWO, 1e-3, gap_tol=gap_tol)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_repair_epsilon_must_be_finite(epsilon):
+    message = rf"^epsilon must be positive and finite, got {epsilon}$"
+    with pytest.raises(ValueError, match=message):
+        remove_multiple(oracles.REFERENCE_RING, epsilon)
+    with pytest.raises(ValueError, match=message):
+        remove_resonances(oracles.REFERENCE_RING, 2, epsilon)

@@ -231,3 +231,25 @@ def test_omega_product_identity():
         lhs = (a1 + a2) * (a1 + a3) * (a2 + a3)
         rhs = r.b[0] * r.b[1] * r.b[2]
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8)
+
+
+STABLE_RING = RingParams(3, (-1.0, -2.0, -3.0), (0.5, 0.5, 0.5))
+
+
+def test_not_a_hopf_point_names_omega_sq_identity_and_trace():
+    with pytest.raises(
+        NotAHopfPointError,
+        match=r"^sign constraints require an n=3 Hopf point with negative trace: "
+        r"omega\^2 = 11 \(needs > 0\), \|lhs - rhs\| = 6\.012e\+01 "
+        r"\(tolerance 6\.000e-08\), trace -6$",
+    ):
+        sign_constraints(STABLE_RING)
+
+
+def test_crossing_check_names_the_eigenvalue_nearest_the_axis():
+    with pytest.raises(
+        NotAHopfPointError,
+        match=r"^no imaginary pair detected at lambda0=0\.0: the eigenvalue nearest the axis "
+        r"is -0\.942546\+0j, \|Re\| 9\.425e-01 against AXIS_TOL 1e-08$",
+    ):
+        crossing_check(AdmissibleOdeFamily(STABLE_RING), 0.0, 1e-4)

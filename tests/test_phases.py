@@ -266,3 +266,13 @@ def test_theta_invariant_under_time_rescale():
     scaled = phase_shifts(time_rescale(r, 2.0), 2.0 * omega)
     for x, y in zip(base.theta, scaled.theta):
         assert x == pytest.approx(y, abs=1e-10)
+
+
+def test_case_classification_names_why_it_is_no_hopf_point():
+    r = RingParams(3, (-1.0, -2.0, -3.0), (0.5, 0.5, 0.5))
+    with pytest.raises(
+        NotAHopfPointError,
+        match=r"^case classification requires a Hopf point: omega\^2 = 11 \(needs > 0\), "
+        r"\|lhs - rhs\| = 6\.012e\+01 \(tolerance 6\.000e-08\), trace -6$",
+    ):
+        classify_case(r)

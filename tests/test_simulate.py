@@ -268,3 +268,36 @@ def test_trajectory_steps():
     traj = integrate(fam, np.zeros(3), t_end=1.0, h=0.1)
     assert traj.steps == 10
     assert isinstance(traj, Trajectory)
+
+
+def _chirp(rate: float) -> Trajectory:
+    """Three nodes on sin(2 pi (0.15 t + rate t^2 / 2) - j): the period shrinks along the run."""
+    t = np.linspace(0.0, 60.0, 60001)
+    phase = TWO_PI * (0.15 * t + 0.5 * rate * t * t)
+    states = np.stack([np.sin(phase - j) for j in range(3)], axis=1)
+    return Trajectory(times=t, states=states, lam=0.1, step=float(t[1] - t[0]))
+
+
+@pytest.mark.parametrize("period_tol", [0.01, math.nan])
+def test_measure_cycle_rejects_a_chirp_whatever_the_tolerance(period_tol):
+    # the spread is a third of the mean period; a NaN tolerance once let it through
+    with pytest.raises(NoCycleError, match=r"^no cycle: period spread 1\.571e\+00 exceeds"):
+        measure_cycle(_chirp(0.0025), period_tol=period_tol)
+
+
+def test_no_cycle_messages_name_value_and_threshold():
+    fam = AdmissibleOdeFamily(oracles.REFERENCE_RING)
+    flat = integrate(fam, np.zeros(3), t_end=10.0, h=0.01)
+    with pytest.raises(
+        NoCycleError,
+        match=r"^no cycle: node-1 oscillation amplitude 0\.000e\+00 is below the floor 1e-06 "
+        r"at lambda=0\.0$",
+    ):
+        measure_cycle(flat)
+    short = integrate(fam, [0.1, 0.0, 0.0], t_end=20.0, h=0.01, lam=0.1)
+    with pytest.raises(
+        NoCycleError,
+        match=r"^no cycle: only 1 full cycles observed \(2 upward crossings of node 1, "
+        r"11 needed\) at lambda=0\.1$",
+    ):
+        measure_cycle(short)

@@ -406,3 +406,9 @@ def test_gate_checks_the_returned_roots(monkeypatch):
     monkeypatch.setattr(spectra, "_polish_clusters", spoil)
     with pytest.raises(RootFindingError, match="symmetrised roots"):
         eigenvalues(oracles.REFERENCE_RING)
+
+
+def test_eigenvector_rejects_nan_eigenvalue():
+    # NaN compares False both ways, so the closure gate is written to reject it
+    with pytest.raises(ValueError, match=r"^closure product \(nan\+nanj\) differs from 1 by nan"):
+        eigenvector_for(oracles.REFERENCE_RING, float("nan"))
