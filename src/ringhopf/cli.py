@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--settle", type=_positive, default=None)
     p.add_argument("--step", type=_positive, default=None)
-    p.add_argument("--cycle-tol", type=_positive, default=0.01)
+    p.add_argument("--cycle-tol", type=_positive, default=simulate.PERIOD_TOL)
     p.add_argument(
         "--try-other-side",
         action="store_true",

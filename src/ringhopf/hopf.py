@@ -187,8 +187,8 @@ def crossing_check(
     `family` may be an AdmissibleOdeFamily (J + lambda*I action) or any
     callable lambda -> Jacobian matrix for other parameter actions.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(lambda0) and 0 < h < math.inf):
+        raise ValueError(f"lambda0 and h must be finite and h positive, got lambda0={lambda0}, h={h}")
     jac = family.jacobian if isinstance(family, AdmissibleOdeFamily) else family
     eigs0 = np.linalg.eigvals(jac(lambda0))
     pairs = axis_pairs(eigs0)

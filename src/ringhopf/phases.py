@@ -97,8 +97,8 @@ def phase_shifts(params: RingParams, omega: float, force: bool = False) -> Phase
     backward error as a root of p may be at most EIGENVALUE_TOL.
     """
     require_valid(params)
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
+    if not 0 < abs(omega) < math.inf:
+        raise ValueError(f"omega must be finite and nonzero, got {omega}")
     zero = [j for j, v in enumerate(params.b) if v == 0.0]
     if zero:
         raise ZeroCouplingError(f"b[{zero[0]}] = 0: phase shifts are undefined")

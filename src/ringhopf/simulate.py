@@ -39,6 +39,7 @@ AMPLITUDE_FLOOR = 1e-6  # node 1 must swing more than this to count as a cycle
 # this many predicted periods: enough, at MEASURE_CYCLES, for a true period
 # about twice the linear one
 MAX_EXTRA_PERIODS = 12
+PERIOD_TOL = 0.01  # largest spread of the measured periods, relative to their mean
 
 
 class DivergenceError(RuntimeError):
@@ -185,7 +186,7 @@ def _node1_crossings(times: np.ndarray, states: np.ndarray):
     return dev, _upward_crossings(times, dev)
 
 
-def measure_cycle(traj: Trajectory, period_tol: float = 0.01) -> CycleMeasurement:
+def measure_cycle(traj: Trajectory, period_tol: float = PERIOD_TOL) -> CycleMeasurement:
     """Extract period, fundamental Fourier coefficients and phase differences.
 
     The period comes from successive upward zero crossings of node 1's
@@ -253,7 +254,7 @@ def find_limit_cycle(
     family: AdmissibleOdeFamily,
     lam: float,
     settle_time: float | None = None,
-    tol: float = 0.01,
+    tol: float = PERIOD_TOL,
     h: float | None = None,
 ) -> CycleMeasurement:
     """Integrate past the transient and measure the limit cycle at `lam`.

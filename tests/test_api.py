@@ -6,7 +6,7 @@ import argparse
 import inspect
 
 import ringhopf
-from ringhopf import cli, hopf, simulate, spectra
+from ringhopf import cli, genericity, hopf, phases, simulate, spectra
 
 SIGNATURES = {
     "adjacency_spectrum": ("adj",),
@@ -40,6 +40,22 @@ SIGNATURES = {
     "table_lookup": ("case", "b_signs", "omega_sign"),
     "time_rescale": ("params", "delta"),
     "validate": ("params",),
+}
+
+# every module-level tolerance, imported ones included, by module
+TOLERANCES = {
+    "spectra": {
+        "RESIDUAL_TOL": 1e-10,
+        "FREEZE_TOL": 16 * 2.0**-52,
+        "POWER_SUM_TOL": 1e-6,
+        "PAIR_TOL": 1e-8,
+        "AXIS_TOL": 1e-8,
+        "EIGENVECTOR_RESIDUAL_TOL": 1e-9,
+    },
+    "genericity": {"AXIS_TOL": 1e-8, "GAP_TOL_FACTOR": 1e-7, "REAL_VALUE_TOL": 1e-9},
+    "hopf": {"AXIS_TOL": 1e-8, "PRODUCT_REL_TOL": 1e-9},
+    "phases": {"ZERO_TOL_FACTOR": 1e-10, "EIGENVALUE_TOL": 1e-8},
+    "simulate": {"PERIOD_TOL": 0.01},
 }
 
 # positional arguments by name, options by their strings
@@ -83,3 +99,15 @@ def test_cli_options():
         for name, p in sub.choices.items()
     }
     assert options == CLI_OPTIONS
+
+
+def test_tolerance_inventory():
+    found = {
+        module.__name__.rsplit(".", 1)[1]: {
+            name: value
+            for name, value in vars(module).items()
+            if name.endswith(("_TOL", "_FACTOR"))
+        }
+        for module in (spectra, genericity, hopf, phases, simulate)
+    }
+    assert found == TOLERANCES

@@ -253,3 +253,14 @@ def test_crossing_check_names_the_eigenvalue_nearest_the_axis():
         r"is -0\.942546\+0j, \|Re\| 9\.425e-01 against AXIS_TOL 1e-08$",
     ):
         crossing_check(AdmissibleOdeFamily(STABLE_RING), 0.0, 1e-4)
+
+
+@pytest.mark.parametrize(
+    "lambda0, h", [(0.0, math.nan), (0.0, math.inf), (0.0, 0.0), (math.nan, 1e-4), (math.inf, 1e-4)]
+)
+def test_crossing_check_rejects_bad_lambda0_and_h(lambda0, h):
+    # these surfaced as numpy's LinAlgError about infs or NaNs
+    fam = AdmissibleOdeFamily(oracles.REFERENCE_RING)
+    message = rf"^lambda0 and h must be finite and h positive, got lambda0={lambda0}, h={h}$"
+    with pytest.raises(ValueError, match=message):
+        crossing_check(fam, lambda0, h)

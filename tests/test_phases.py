@@ -276,3 +276,11 @@ def test_case_classification_names_why_it_is_no_hopf_point():
         r"\|lhs - rhs\| = 6\.012e\+01 \(tolerance 6\.000e-08\), trace -6$",
     ):
         classify_case(r)
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 0.0])
+def test_phase_shifts_reject_omega_that_is_not_finite_and_nonzero(omega, force):
+    # force skips the eigenvalue check, which was the only one to reject NaN
+    with pytest.raises(ValueError, match=rf"^omega must be finite and nonzero, got {omega}$"):
+        phase_shifts(oracles.REFERENCE_RING, omega, force=force)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ringhopf import spectra
+from ringhopf.genericity import detect_resonance, remove_resonances
 from ringhopf.model import AdjacencyMatrix, RingParams, time_rescale
 from ringhopf.spectra import (
     RootFindingError,
@@ -167,18 +168,36 @@ def test_eigenvector_rejects_non_eigenvalue():
         eigenvector_for(oracles.REFERENCE_RING, 0.7 + 0.2j)
 
 
-def test_eigenvector_closure_message_names_distance_threshold_and_backward_error():
-    # an eigenvalue to rounding whose closure product still misses 1 by
-    # 1.5e-8: the message says so, rather than calling mu no eigenvalue
+def test_eigenvector_accepted_at_eigenpair_backward_error():
+    # mu = 2.8700000549... is an eigenvalue to rounding whose closure product
+    # misses 1 by 1.5e-8; its residual, 7.7e-10 max|u|, is within the bound
     r = RingParams(4, (2.87, 0.88, -1.14, -0.78), (0.01, -0.16, 0.02, -0.05))
-    mu = max(eigenvalues(r).eigenvalues, key=lambda m: m.real)
-    assert spectra.backward_error(r, mu) < 1e-15
+    norm = max(abs(x) + abs(y) for x, y in zip(r.a, r.b))
+    for mu in eigenvalues(r).eigenvalues:
+        u = np.array(eigenvector_for(r, mu).entries)
+        residual = np.abs(r.jacobian() @ u - mu * u).max()
+        assert residual <= 1e-9 * (norm + abs(mu)) * np.abs(u).max()
     with pytest.raises(
         ValueError,
-        match=r"^closure product \S+ differs from 1 by 1\.53\de-08 > CLOSURE_TOL 1e-08 "
-        r"at mu=\(2\.87\d*\+0j\), whose backward error as a root of p is \d\.\d{3}e-1[67]$",
+        match=r"^closure product \S+ differs from 1 by \S+: the eigenvector residual \S+ exceeds "
+        r"\S+ at mu=\(0\.7\+0\.2j\), whose backward error as a root of p is \d\.\d{3}e-01$",
     ):
-        eigenvector_for(r, mu)
+        eigenvector_for(r, 0.7 + 0.2j)
+
+
+def test_eigenvectors_at_any_scale_of_the_ring():
+    # an absolute closure or residual test rejected 3 of these 242
+    # eigenvalues at s = 1e4 and 234 at s = 1e8
+    rng = np.random.default_rng(3)
+    rings = []
+    for _ in range(40):
+        n = int(rng.integers(3, 10))
+        rings.append(RingParams(n, tuple(rng.normal(size=n)), tuple(rng.normal(size=n))))
+    for s in (1e-6, 1e4, 1e8):
+        for r in rings:
+            scaled = time_rescale(r, s)
+            for mu in eigenvalues(scaled).eigenvalues:
+                assert eigenvector_for(scaled, mu).eigenvalue == mu
 
 
 def test_eigenvector_rejects_zero_coupling():
@@ -412,3 +431,35 @@ def test_eigenvector_rejects_nan_eigenvalue():
     # NaN compares False both ways, so the closure gate is written to reject it
     with pytest.raises(ValueError, match=r"^closure product \(nan\+nanj\) differs from 1 by nan"):
         eigenvector_for(oracles.REFERENCE_RING, float("nan"))
+
+
+def test_close_pair_inside_the_pair_band_stays_a_pair():
+    # -3 +- 6.38e-9i lie within PAIR_TOL times the radius of the real axis,
+    # but -3 fails the backward-error gate, so they are not made real
+    r = RingParams(
+        10, (-1, -2, -3, 1, 3, -1, -1, 1, 1, -3), (-1, -2, 1, -1, 1, 1, 5e-4, 5e-4, 5e-4, 5e-4)
+    )
+    s = eigenvalues(r)
+    true = oracles.mp_ring_roots(r.a, r.coupling_product(), s.eigenvalues)
+    assert max(min(abs(x - y) for y in s.eigenvalues) for x in true) < 1e-12
+    low, high = sorted((m for m in s.eigenvalues if abs(m + 3) < 1e-6), key=lambda m: m.imag)
+    assert low == high.conjugate()
+    assert high.imag == pytest.approx(6.3788795e-9, rel=1e-7)
+    # with the four small couplings zeroed, the repair puts them back at 5e-4
+    zeroed = RingParams(10, r.a, (*r.b[:6], 0.0, 0.0, 0.0, 0.0))
+    assert remove_resonances(zeroed, 3, 1e-3).perturbed == r
+
+
+def test_symmetrise_never_leaves_a_root_unpaired():
+    with pytest.raises(RootFindingError, match="^2 roots above the real axis but 1 below it$"):
+        spectra._symmetrise_conjugates([1 + 1j, 1 + 2j, 1 - 1j])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_axis_tolerance_must_be_positive_and_finite(tol):
+    # NaN compared False both ways, so no root was ever on the axis
+    message = rf"^tol must be positive and finite, got {tol}$"
+    with pytest.raises(ValueError, match=message):
+        eigenvalues(oracles.REFERENCE_RING, axis_tol=tol)
+    with pytest.raises(ValueError, match=message):
+        detect_resonance(adjacency_spectrum(AdjacencyMatrix(6, oracles.ADJ_6)), 5, tol=tol)
