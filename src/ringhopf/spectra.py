@@ -15,7 +15,9 @@ pairs symmetrised, and the power sums sum z = sum a_j, sum z^2 = sum a_j^2
 checked. A root is accepted at componentwise backward error <= 1e-10, and
 it is real only when its real part also passes that gate. An eigenvector
 is accepted at eigenpair backward error <= 1e-9, so `eigenvector_for`
-works at any scale of the ring.
+works at any scale of the ring. From VECTOR_SWEEP_MIN_N roots on, each
+sweep updates every moving root at once with numpy array operations; the
+roots of both sweeps pass the same backward-error gate.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ POWER_SUM_TOL = 1e-6  # rounding moves the sums by about 1e-8, a lost root by a 
 PAIR_TOL = 1e-8
 AXIS_TOL = 1e-8
 EIGENVECTOR_RESIDUAL_TOL = 1e-9
+VECTOR_SWEEP_MIN_N = 12  # measured crossover of the two Aberth sweeps
 
 
 class RootFindingError(RuntimeError):
@@ -161,48 +164,88 @@ def backward_error(params: RingParams, z: complex) -> float:
     return _eval_at(params.a, params.coupling_product(), complex(z))[2]
 
 
+def _eval_points(a, c: float, z: np.ndarray):
+    """_eval_at at each point of z from one (n x len(z)) product; a point with a zero
+    factor a_j - z, or a product or scale out of the float range, goes to _eval_at."""
+    av = np.array(a)
+    d = av[:, None] - z
+    with np.errstate(all="ignore"):
+        prod = d.prod(axis=0)
+        inv = 1.0 / d
+        # p' = -prod sum_j 1/d_j; scale = sum_j (|a_j| + |z|) prod_{i != j} |d_i|
+        dp = -prod * inv.sum(axis=0)
+        inv = np.abs(inv)
+        scale = np.abs(prod) * (np.abs(av) @ inv + np.abs(z) * inv.sum(axis=0))
+        p = prod + c
+        eta = np.abs(p) / (scale + abs(c))
+    for k in np.flatnonzero(~(np.isfinite(dp) & (0 < scale) & (scale < math.inf))):
+        p[k], dp[k], eta[k] = _eval_at(a, c, complex(z[k]))
+    return p, dp, eta
+
+
+def _vector_sweep(a, c: float, z, eta, active, start):
+    """One Jacobi sweep: every moving root steps at once, over (n x moving) arrays."""
+    p, dp, eta[active] = _eval_points(a, c, z[active])
+    keep = ~(eta[active] <= FREEZE_TOL)
+    moving, p, dp = active[keep], p[keep], dp[keep]
+    zk = z[moving]
+    with np.errstate(all="ignore"):
+        inv = 1.0 / (zk - z[:, None])
+        inv[~np.isfinite(inv)] = 0.0  # the root itself, and any equal to it
+        new = zk - p / (dp - p * inv.sum(axis=0))
+    z[moving] = np.where(np.isfinite(eta[moving]) & np.isfinite(new), new, start[moving])
+    return moving
+
+
 def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
     """All roots of prod(a_j - z) + c by Aberth-Ehrlich iteration, and the sweeps taken.
 
+    Sweeps run as numpy array operations from VECTOR_SWEEP_MIN_N roots on.
     A root stops once its backward error is down to FREEZE_TOL. The power
     sums catch a double root that took two approximations and left a
     simple root out; a second start, turned by half a step, gets one try.
     """
     n = len(a)
     radius = abs(c) ** (1.0 / n)
+    vector = n >= VECTOR_SWEEP_MIN_N
     sweeps = 0
     for turn in (0.25, 0.75):
         start = [a[k] + radius * cmath.exp(2j * math.pi * (k + turn) / n) for k in range(n)]
-        z = list(start)
-        eta = [math.inf] * n
-        active = range(n)
+        z, eta, active = list(start), [math.inf] * n, range(n)
+        if vector:
+            start, z, eta, active = np.array(start), np.array(z), np.array(eta), np.arange(n)
         try:
             for _ in range(max_iter):
                 sweeps += 1
-                moving = []
-                for k in active:
-                    zk = z[k]
-                    p, dp, eta[k] = _eval_at(a, c, zk)
-                    if eta[k] <= FREEZE_TOL:
-                        continue
-                    s = 0.0j
-                    for zj in z:
-                        if zj != zk:
-                            s += 1.0 / (zk - zj)
-                    new = zk - p / (dp - p * s)
-                    # an iterate thrown out of the float range starts again
-                    z[k] = new if eta[k] < math.inf and cmath.isfinite(new) else start[k]
-                    moving.append(k)
-                active = moving
-                if not active:
+                if vector:
+                    active = _vector_sweep(a, c, z, eta, active, start)
+                else:  # Gauss-Seidel: each root steps in turn
+                    moving = []
+                    for k in active:
+                        zk = z[k]
+                        p, dp, eta[k] = _eval_at(a, c, zk)
+                        if eta[k] <= FREEZE_TOL:
+                            continue
+                        s = 0.0j
+                        for zj in z:
+                            if zj != zk:
+                                s += 1.0 / (zk - zj)
+                        new = zk - p / (dp - p * s)
+                        # an iterate thrown out of the float range starts again
+                        z[k] = new if eta[k] < math.inf and cmath.isfinite(new) else start[k]
+                        moving.append(k)
+                    active = moving
+                if not len(active):
                     break
             for k in active:  # still moving after max_iter sweeps
-                eta[k] = _eval_at(a, c, z[k])[2]
+                eta[k] = _eval_at(a, c, complex(z[k]))[2]
         except (OverflowError, ZeroDivisionError):
             eta = [math.inf] * n
         reason = _gate(eta, threshold)
         if reason:
             continue
+        if vector:
+            z = z.tolist()
         # c is the constant term only, so it leaves the first two power sums alone
         for k in (1, 2):
             want, got = math.fsum(v**k for v in a), sum(m**k for m in z)
@@ -224,16 +267,23 @@ def _symmetrise_conjugates(roots, real_ok=lambda x: True) -> list[complex]:
     paired with the nearest conjugate of a root below it.
     """
     out, above, below = [], [], []
-    roots = sorted((complex(m) for m in roots), key=lambda m: (m.real, abs(m.imag), m.imag))
-    pair_tol = PAIR_TOL * max(abs(m) for m in roots)
-    for mu in roots:
-        # mu's own conjugate lies exactly 2 |Im mu| away, so it never counts as nearer
-        if abs(mu.imag) <= pair_tol and (
-            not any(abs(mu - r.conjugate()) < 2 * abs(mu.imag) for r in roots) or real_ok(mu.real)
-        ):
-            out.append(complex(mu.real, 0.0))
-        else:
-            (above if mu.imag > 0 else below).append(mu)
+    roots = sorted(map(complex, roots), key=lambda m: (m.real, abs(m.imag), m.imag))
+    pair_tol = PAIR_TOL * max(map(abs, roots))
+    for i, mu in enumerate(roots):
+        if abs(mu.imag) <= pair_tol:
+            # mu's own conjugate lies exactly w = 2 |Im mu| away, so it never counts
+            # as nearer, and only a root whose real part is within w of mu's can be;
+            # the window reaches 2w to each side, so rounding at its ends loses none
+            w = 2 * abs(mu.imag)
+            lo, hi = i, i + 1
+            while lo and roots[lo - 1].real >= mu.real - 2 * w:
+                lo -= 1
+            while hi < len(roots) and roots[hi].real <= mu.real + 2 * w:
+                hi += 1
+            if not any(abs(mu - r.conjugate()) < w for r in roots[lo:hi]) or real_ok(mu.real):
+                out.append(complex(mu.real, 0.0))
+                continue
+        (above if mu.imag > 0 else below).append(mu)
     if len(above) != len(below):
         raise RootFindingError(f"{len(above)} roots above the real axis but {len(below)} below it")
     for mu in above:  # both imaginary parts add with one sign, so half lies above the axis
@@ -334,7 +384,10 @@ def eigenvalues(
     # polish first: the two halves of a double root may both stop off the axis
     roots = _polish_clusters(roots, a, c, residual_tol)
     roots = _symmetrise_conjugates(roots, lambda x: _eval_at(a, c, x)[2] <= residual_tol)
-    evaluated = [_eval_at(a, c, m) for m in roots]
+    if params.n >= VECTOR_SWEEP_MIN_N:
+        evaluated = list(zip(*(v.tolist() for v in _eval_points(a, c, np.array(roots)))))
+    else:
+        evaluated = [_eval_at(a, c, m) for m in roots]
     etas = [eta for _, _, eta in evaluated]
     reason = _gate(etas, residual_tol)
     if reason:
@@ -351,23 +404,35 @@ def eigenvalues(
 
 
 def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
-    """Eigenvector from the recurrence u_{j+1} = (mu - a_j)/b_j * u_j, u_1 = 1."""
+    """Eigenvector from the recurrence u_{j+1} = (mu - a_j)/b_j * u_j, scaled to u_1 = 1.
+
+    It runs once round the ring from after the factor with the smallest
+    |mu - a_k| / (|mu| + |a_k|), whose O(1) rounding error then only enters
+    the closure row, which the residual gate absorbs."""
     require_valid(params)
-    zero = [j for j, v in enumerate(params.b) if v == 0.0]
+    n, a, b = params.n, params.a, params.b
+    zero = [j for j, v in enumerate(b) if v == 0.0]
     if zero:
         raise ZeroCouplingError(
             f"b[{zero[0]}] = 0: the eigenvector recurrence divides by b_j"
         )
     mu = complex(mu)
-    entries = [1.0 + 0.0j]
-    for j in range(params.n - 1):
-        entries.append(entries[-1] * (mu - params.a[j]) / params.b[j])
-    closure = entries[-1] * (mu - params.a[-1]) / params.b[-1]
+    k = min(range(n), key=lambda j: abs(mu - a[j]) / (abs(mu) + abs(a[j]) or 1.0))
+    for s in ((k + 1) % n, 0):  # mu equal to two a_j can zero u_1 on the rotated run
+        entries = [1.0 + 0.0j]
+        for j in range(s, s + n - 1):
+            entries.append(entries[-1] * (mu - a[j % n]) / b[j % n])
+        entries = entries[n - s :] + entries[: n - s]
+        if entries[0] != 0:
+            break
+    closure = entries[s - 1] * (mu - a[s - 1]) / b[s - 1]
+    if s:
+        entries = [1.0 + 0.0j] + [v / entries[0] for v in entries[1:]]
     u = np.array(entries)
     residual = np.abs(params.jacobian() @ u - mu * u).max()
-    norm = max(abs(x) + abs(y) for x, y in zip(params.a, params.b)) + abs(mu)
+    norm = max(abs(x) + abs(y) for x, y in zip(a, b)) + abs(mu)
     bound = EIGENVECTOR_RESIDUAL_TOL * norm * np.abs(u).max()
-    # b_n (1 - closure) is the residual's last row, so the closure needs no gate of its own
+    # b_{s-1} (1 - closure) u_s is the residual's row s-1: the closure needs no gate
     if not residual <= bound:
         raise ValueError(
             f"closure product {closure} differs from 1 by {abs(closure - 1.0):.3e}: the "

@@ -1,0 +1,27 @@
+"""tools/layers.py, the per-layer timing script, run once at its smallest size."""
+
+import importlib.util
+import os
+from pathlib import Path
+
+from ringhopf import spectra
+
+LAYERS = Path(__file__).resolve().parent.parent / "tools" / "layers.py"
+
+
+def test_layer_timings_run_at_n_3():
+    spec = importlib.util.spec_from_file_location("layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    cpus, crossover = os.sched_getaffinity(0), spectra.VECTOR_SWEEP_MIN_N
+    rows = layers.main(["--sizes", "3", "--repeat", "1"])
+    assert (os.sched_getaffinity(0), spectra.VECTOR_SWEEP_MIN_N) == (cpus, crossover)
+    assert [name for name, *_ in rows] == [
+        "eigenvalues, scalar sweep",
+        "eigenvalues, vector sweep",
+        "multiplicity_forbidden_set",
+        "resonance_forbidden_set, k <= 3",
+        "remove_multiple",
+        "RK4 step",
+    ]
+    assert all(n == 3 and 0 < us < 1e6 and failed == 0 for _, n, us, failed in rows)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -314,16 +315,23 @@ def _assert_matches_mpmath(r: RingParams):
     (1e-12)^(1/m) R of it is asked; a simple root is asked 1e-12 R.
     """
     s = eigenvalues(r)
-    c = r.coupling_product()
-    true = oracles.mp_ring_roots(r.a, c, s.eigenvalues)
-    scale = max(abs(v) for v in r.a) + abs(c) ** (1.0 / r.n)
-    sizes = [sum(abs(w - v) < 1e-4 * scale for v in true) for w in true]
-    remaining = list(s.eigenvalues)
-    for w, m in sorted(zip(true, sizes), key=lambda p: p[1]):
-        k = min(range(len(remaining)), key=lambda i: abs(remaining[i] - w))
-        assert abs(remaining.pop(k) - w) <= 1e-12 ** (1.0 / m) * scale, f"root {w} unmatched"
+    scale = _assert_roots_match_mpmath(r, s.eigenvalues)
     assert s.backward_error <= 1e-10
     return s, scale
+
+
+def _assert_roots_match_mpmath(r: RingParams, *root_sets) -> float:
+    """The multiset check of _assert_matches_mpmath on each root set; returns R."""
+    c = r.coupling_product()
+    true = oracles.mp_ring_roots(r.a, c, root_sets[0])
+    scale = max(abs(v) for v in r.a) + abs(c) ** (1.0 / r.n)
+    sizes = [sum(abs(w - v) < 1e-4 * scale for v in true) for w in true]
+    for roots in root_sets:
+        remaining = list(roots)
+        for w, m in sorted(zip(true, sizes), key=lambda p: p[1]):
+            k = min(range(len(remaining)), key=lambda i: abs(remaining[i] - w))
+            assert abs(remaining.pop(k) - w) <= 1e-12 ** (1.0 / m) * scale, f"root {w} unmatched"
+    return scale
 
 
 @settings(max_examples=30)
@@ -463,3 +471,100 @@ def test_axis_tolerance_must_be_positive_and_finite(tol):
         eigenvalues(oracles.REFERENCE_RING, axis_tol=tol)
     with pytest.raises(ValueError, match=message):
         detect_resonance(adjacency_spectrum(AdjacencyMatrix(6, oracles.ADJ_6)), 5, tol=tol)
+
+
+def _corpus_rings(count):
+    # n 3-40, a ~ N(0,1), b ~ s N(0,1) with s = 10^U(-3,3), drawn in this order
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        n = int(rng.integers(3, 41))
+        s = 10.0 ** rng.uniform(-3, 3)
+        a, b = rng.normal(size=n), s * rng.normal(size=n)
+        yield RingParams(n, tuple(float(v) for v in a), tuple(float(v) for v in b))
+
+
+def test_eigenvector_for_an_eigenvalue_within_rounding_of_a_diagonal_entry():
+    # mu lies within rounding of a_3, so (mu - a_3)/b_3 is off by O(1); the
+    # recurrence from u_1 = 1 carried that into u_4.. and left a residual of
+    # 4.3e8 against a bound of 0.48
+    (r,) = _corpus_rings(1)
+    assert (r.n, r.a[2]) == (12, -1.3928000963768683)
+    mu = -1.392800096376866
+    assert spectra.backward_error(r, mu) < 1e-15
+    u = eigenvector_for(r, mu)
+    assert u.entries[0] == 1.0
+    # against the recurrence at the exact root nearest mu, in 50 digits
+    with mpmath.workdps(50):
+        a, c, z = [mpmath.mpf(v) for v in r.a], mpmath.mpf(r.coupling_product()), mpmath.mpc(mu)
+        for _ in range(20):
+            prod, dp = mpmath.mpc(1), mpmath.mpc(0)
+            for v in a:
+                dp, prod = dp * (v - z) - prod, prod * (v - z)
+            z -= (prod + c) / dp
+        exact = [mpmath.mpc(1)]
+        for v, w in zip(a, r.b[:-1]):
+            exact.append(exact[-1] * (z - v) / w)
+        exact = np.array([complex(e) for e in exact])
+    assert np.abs(np.array(u.entries) - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def test_every_eigenvalue_of_random_rings_gets_an_eigenvector():
+    # the recurrence from u_1 = 1 rejected about 13% of these eigenvalues
+    for r in _corpus_rings(200):
+        for mu in eigenvalues(r).eigenvalues:
+            assert eigenvector_for(r, mu).entries[0] == 1.0
+
+
+
+def test_eigenvector_for_mu_equal_to_two_diagonal_entries():
+    # the run from after the zero factor meets the second one and zeroes u_1;
+    # the run from u_1 = 1 is exact here, as at the parent
+    r = RingParams(3, (1.0, 1.0, 2.0), (1e-12, 1e-12, 1e-12))
+    assert eigenvector_for(r, 1.0).entries == (1.0, 0.0, 0.0)
+
+@pytest.mark.parametrize(
+    "n", [spectra.VECTOR_SWEEP_MIN_N - 1, spectra.VECTOR_SWEEP_MIN_N, 40, 64]
+)
+def test_both_sweeps_match_mpmath(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    rings = [
+        RingParams(n, tuple(s * rng.uniform(-3, 3, n)), tuple(s * rng.uniform(-3, 3, n)))
+        for s in (1e-4, 1.0, 1e4)
+    ]
+    rings.append(oracles.construct_grid_double_ring(n, rng)[0])
+    for r in rings:
+        a, c = r.a, r.coupling_product()
+        root_sets = []
+        for crossover in (0, n + 1):  # the vector sweep at every size, then the scalar one
+            monkeypatch.setattr(spectra, "VECTOR_SWEEP_MIN_N", crossover)
+            roots, _ = spectra._aberth_roots(a, c, spectra.RESIDUAL_TOL)
+            assert max(spectra._eval_at(a, c, m)[2] for m in roots) <= spectra.RESIDUAL_TOL
+            root_sets.append(roots)
+        _assert_roots_match_mpmath(r, *root_sets)
+
+
+def test_zero_coupling_product_on_the_vector_sweep():
+    # c = 0 starts every root exactly on its a_j, where a factor a_j - z is 0
+    a = (1.0, 1.0, -2.0, 0.5, 0.5, 0.5, *(float(v) for v in range(14)))
+    assert len(a) >= spectra.VECTOR_SWEEP_MIN_N
+    roots, _ = spectra._aberth_roots(a, 0.0, spectra.RESIDUAL_TOL)
+    assert roots == list(a)
+    s = eigenvalues(RingParams(20, a, (0.0, *[1.0] * 19)))
+    assert s.eigenvalues == tuple(complex(v) for v in sorted(a))
+    assert s.backward_error == 0.0
+
+
+def test_power_sums_reject_a_frozen_root_set_on_the_vector_sweep(monkeypatch):
+    monkeypatch.setattr(spectra, "FREEZE_TOL", 1e-3)
+    rng = np.random.default_rng(1)
+    r = RingParams(20, tuple(rng.uniform(-3, 3, 20)), tuple(rng.uniform(-3, 3, 20)))
+    with pytest.raises(RootFindingError, match="power sum"):
+        eigenvalues(r, residual_tol=1e-2)
+
+
+def test_small_rings_stay_on_the_scalar_sweep(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("vector sweep entered")
+
+    monkeypatch.setattr(spectra, "_vector_sweep", refuse)
+    assert eigenvalues(oracles.REFERENCE_RING).n == 3
