@@ -15,9 +15,8 @@ pairs symmetrised, and the power sums sum z = sum a_j, sum z^2 = sum a_j^2
 checked. A root is accepted at componentwise backward error <= 1e-10, and
 it is real only when its real part also passes that gate. An eigenvector
 is accepted at eigenpair backward error <= 1e-9, so `eigenvector_for`
-works at any scale of the ring. From VECTOR_SWEEP_MIN_N roots on, each
-sweep updates every moving root at once with numpy array operations; the
-roots of both sweeps pass the same backward-error gate.
+works at any scale of the ring. From VECTOR_SWEEP_MIN_N roots on, a sweep
+moves all roots at once in numpy; both sweeps pass one backward-error gate.
 """
 
 from __future__ import annotations
@@ -164,9 +163,11 @@ def backward_error(params: RingParams, z: complex) -> float:
     return _eval_at(params.a, params.coupling_product(), complex(z))[2]
 
 
-def _eval_points(a, c: float, z: np.ndarray):
-    """_eval_at at each point of z from one (n x len(z)) product; a point with a zero
-    factor a_j - z, or a product or scale out of the float range, goes to _eval_at."""
+def _eval_points(a, c: float, z):
+    """p, p' and eta at each point of z: by _eval_at below VECTOR_SWEEP_MIN_N roots, else from
+    one (n x len(z)) product, and by _eval_at where a factor a_j - z is 0 or a value overflows."""
+    if len(a) < VECTOR_SWEEP_MIN_N:
+        return zip(*[_eval_at(a, c, m) for m in z])
     av = np.array(a)
     d = av[:, None] - z
     with np.errstate(all="ignore"):
@@ -176,9 +177,9 @@ def _eval_points(a, c: float, z: np.ndarray):
         dp = -prod * inv.sum(axis=0)
         inv = np.abs(inv)
         scale = np.abs(prod) * (np.abs(av) @ inv + np.abs(z) * inv.sum(axis=0))
-        p = prod + c
-        eta = np.abs(p) / (scale + abs(c))
-    for k in np.flatnonzero(~(np.isfinite(dp) & (0 < scale) & (scale < math.inf))):
+        p, den = prod + c, scale + abs(c)
+        eta = np.abs(p) / den
+    for k in np.flatnonzero(~(np.isfinite(dp) & (0 < scale) & (den < math.inf))):
         p[k], dp[k], eta[k] = _eval_at(a, c, complex(z[k]))
     return p, dp, eta
 
@@ -187,8 +188,7 @@ def _vector_sweep(a, c: float, z, eta, active, start):
     """One Jacobi sweep: every moving root steps at once, over (n x moving) arrays."""
     p, dp, eta[active] = _eval_points(a, c, z[active])
     keep = ~(eta[active] <= FREEZE_TOL)
-    moving, p, dp = active[keep], p[keep], dp[keep]
-    zk = z[moving]
+    moving, p, dp, zk = active[keep], p[keep], dp[keep], z[active[keep]]
     with np.errstate(all="ignore"):
         inv = 1.0 / (zk - z[:, None])
         inv[~np.isfinite(inv)] = 0.0  # the root itself, and any equal to it
@@ -200,7 +200,6 @@ def _vector_sweep(a, c: float, z, eta, active, start):
 def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
     """All roots of prod(a_j - z) + c by Aberth-Ehrlich iteration, and the sweeps taken.
 
-    Sweeps run as numpy array operations from VECTOR_SWEEP_MIN_N roots on.
     A root stops once its backward error is down to FREEZE_TOL. The power
     sums catch a double root that took two approximations and left a
     simple root out; a second start, turned by half a step, gets one try.
@@ -208,12 +207,11 @@ def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
     n = len(a)
     radius = abs(c) ** (1.0 / n)
     vector = n >= VECTOR_SWEEP_MIN_N
+    wrap = np.array if vector else list
     sweeps = 0
     for turn in (0.25, 0.75):
-        start = [a[k] + radius * cmath.exp(2j * math.pi * (k + turn) / n) for k in range(n)]
-        z, eta, active = list(start), [math.inf] * n, range(n)
-        if vector:
-            start, z, eta, active = np.array(start), np.array(z), np.array(eta), np.arange(n)
+        start = wrap([a[k] + radius * cmath.exp(2j * math.pi * (k + turn) / n) for k in range(n)])
+        z, eta, active = wrap(start), wrap([math.inf] * n), wrap(range(n))
         try:
             for _ in range(max_iter):
                 sweeps += 1
@@ -244,8 +242,7 @@ def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
         reason = _gate(eta, threshold)
         if reason:
             continue
-        if vector:
-            z = z.tolist()
+        z = z.tolist() if vector else z
         # c is the constant term only, so it leaves the first two power sums alone
         for k in (1, 2):
             want, got = math.fsum(v**k for v in a), sum(m**k for m in z)
@@ -271,9 +268,8 @@ def _symmetrise_conjugates(roots, real_ok=lambda x: True) -> list[complex]:
     pair_tol = PAIR_TOL * max(map(abs, roots))
     for i, mu in enumerate(roots):
         if abs(mu.imag) <= pair_tol:
-            # mu's own conjugate lies exactly w = 2 |Im mu| away, so it never counts
-            # as nearer, and only a root whose real part is within w of mu's can be;
-            # the window reaches 2w to each side, so rounding at its ends loses none
+            # mu's own conjugate lies exactly w away, so only a root whose real part is within
+            # w of mu's can be nearer; the window reaches 2w, so rounding at its ends loses none
             w = 2 * abs(mu.imag)
             lo, hi = i, i + 1
             while lo and roots[lo - 1].real >= mu.real - 2 * w:
@@ -384,31 +380,24 @@ def eigenvalues(
     # polish first: the two halves of a double root may both stop off the axis
     roots = _polish_clusters(roots, a, c, residual_tol)
     roots = _symmetrise_conjugates(roots, lambda x: _eval_at(a, c, x)[2] <= residual_tol)
-    if params.n >= VECTOR_SWEEP_MIN_N:
-        evaluated = list(zip(*(v.tolist() for v in _eval_points(a, c, np.array(roots)))))
-    else:
-        evaluated = [_eval_at(a, c, m) for m in roots]
-    etas = [eta for _, _, eta in evaluated]
+    p, _, etas = _eval_points(a, c, roots)
     reason = _gate(etas, residual_tol)
     if reason:
         raise RootFindingError(f"symmetrised roots: {reason}")
     return Spectrum(
         eigenvalues=tuple(complex(m) for m in roots),
-        residuals=tuple(abs(p) for p, _, _ in evaluated),
+        residuals=tuple(abs(complex(v)) for v in p),
         pair_tolerance=PAIR_TOL,
         tau=params.trace(),
         omega=_axis_omega(roots, axis_tol),
         iterations=sweeps,
-        backward_error=max(etas),
+        backward_error=float(max(etas)),
     )
 
 
 def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
-    """Eigenvector from the recurrence u_{j+1} = (mu - a_j)/b_j * u_j, scaled to u_1 = 1.
-
-    It runs once round the ring from after the factor with the smallest
-    |mu - a_k| / (|mu| + |a_k|), whose O(1) rounding error then only enters
-    the closure row, which the residual gate absorbs."""
+    """Eigenvector from u_{j+1} = (mu - a_j)/b_j * u_j, scaled to u_1 = 1, run once round
+    from after the least accurate factor, so its error enters only the gated closure row."""
     require_valid(params)
     n, a, b = params.n, params.a, params.b
     zero = [j for j, v in enumerate(b) if v == 0.0]
@@ -423,7 +412,7 @@ def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
         for j in range(s, s + n - 1):
             entries.append(entries[-1] * (mu - a[j % n]) / b[j % n])
         entries = entries[n - s :] + entries[: n - s]
-        if entries[0] != 0:
+        if 0 < abs(entries[0]) < math.inf:
             break
     closure = entries[s - 1] * (mu - a[s - 1]) / b[s - 1]
     if s:

@@ -371,6 +371,22 @@ def test_double_root_ring_near_the_top_of_the_float_range():
     _assert_matches_mpmath(r)
 
 
+def test_vector_sweep_near_the_top_of_the_float_range(monkeypatch):
+    # |c| = max/(n + 1/2): about the roots the scale sum stays finite but
+    # adding |c| to it overflows, which must read as an infinite backward
+    # error on both sweeps, not as an exact root
+    n = 20
+    a = tuple(float(v) for v in np.random.default_rng(3).uniform(-3, 3, n))
+    c = -1.7976931348623157e308 / (n + 0.5)
+    z = [a[k] + abs(c) ** (1 / n) * np.exp(2j * math.pi * (k + 0.25) / n) for k in range(n)]
+    assert n >= spectra.VECTOR_SWEEP_MIN_N
+    assert spectra._eval_points(a, c, z)[2].tolist() == [math.inf] * n
+    for crossover in (n, n + 1):  # the vector sweep, then the scalar one
+        monkeypatch.setattr(spectra, "VECTOR_SWEEP_MIN_N", crossover)
+        with pytest.raises(RootFindingError, match="backward error inf"):
+            spectra._aberth_roots(a, c, spectra.RESIDUAL_TOL)
+
+
 def test_spectrum_records_iterations_and_backward_error():
     s = eigenvalues(oracles.REFERENCE_RING)
     assert s.iterations > 0
@@ -515,12 +531,19 @@ def test_every_eigenvalue_of_random_rings_gets_an_eigenvector():
             assert eigenvector_for(r, mu).entries[0] == 1.0
 
 
-
 def test_eigenvector_for_mu_equal_to_two_diagonal_entries():
     # the run from after the zero factor meets the second one and zeroes u_1;
     # the run from u_1 = 1 is exact here, as at the parent
     r = RingParams(3, (1.0, 1.0, 2.0), (1e-12, 1e-12, 1e-12))
     assert eigenvector_for(r, 1.0).entries == (1.0, 0.0, 0.0)
+
+
+def test_eigenvector_for_a_rotated_run_that_overflows():
+    # from after a_1 = mu the run grows by 1e200 a step and u_1 overflows;
+    # the run from u_1 = 1 is finite and exact
+    r = RingParams(4, (0.0, 1.0, 1.0, 1.0), (1.0, 1e-200, 1e-200, 1e-200))
+    assert eigenvector_for(r, 0.0).entries == (1.0, 0.0, 0.0, 0.0)
+
 
 @pytest.mark.parametrize(
     "n", [spectra.VECTOR_SWEEP_MIN_N - 1, spectra.VECTOR_SWEEP_MIN_N, 40, 64]

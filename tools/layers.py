@@ -1,8 +1,8 @@
 """Per-layer timings of ringhopf, best of k, pinned to one CPU.
 
-    PYTHONPATH=src python tools/layers.py [--sizes 3 10 20 40 64] [--repeat 3] [--rings 30]
+    PYTHONPATH=src python tools/layers.py [--sizes 3 10 20 40 64] [--repeat 3]
 
-For each ring size, the same random rings (a_j, b_j ~ U(-3, 3), fixed
+For each ring size, the same RINGS random rings (a_j, b_j ~ U(-3, 3), fixed
 seed) go through `eigenvalues` on each Aberth sweep, the two forbidden
 sets (k <= 3) and `remove_multiple`; one RK4 step is timed on a 3-node
 family. Each figure is the best of --repeat passes of the mean time per
@@ -24,6 +24,7 @@ from ringhopf import genericity, simulate, spectra
 from ringhopf.model import AdmissibleOdeFamily, RingParams
 
 SEED = 0
+RINGS = 30
 EPSILON = 1e-3
 K_MAX = 3
 RK4_STEPS = 20_000
@@ -42,11 +43,11 @@ def sweep(vector: bool):
         spectra.VECTOR_SWEEP_MIN_N = saved
 
 
-def rings(n: int, count: int) -> list[RingParams]:
+def rings(n: int) -> list[RingParams]:
     rng = np.random.default_rng([SEED, n])
     return [
         RingParams(n, tuple(rng.uniform(-3, 3, n)), tuple(rng.uniform(-3, 3, n)))
-        for _ in range(count)
+        for _ in range(RINGS)
     ]
 
 
@@ -65,11 +66,11 @@ def best_per_call(fn, inputs, repeat: int) -> tuple[float, int]:
     return best, failed
 
 
-def measure(sizes, repeat: int, count: int) -> list[tuple[str, int, float, int]]:
+def measure(sizes, repeat: int) -> list[tuple[str, int, float, int]]:
     """(layer, n, microseconds per call, calls that raised), one row per layer and size."""
     rows = []
     for n in sizes:
-        batch = rings(n, count)
+        batch = rings(n)
         for name, vector in (("eigenvalues, scalar sweep", False), ("eigenvalues, vector sweep", True)):
             with sweep(vector):
                 rows.append((name, n, *best_per_call(spectra.eigenvalues, batch, repeat)))
@@ -92,12 +93,11 @@ def main(argv=None) -> list[tuple[str, int, float, int]]:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[3, 10, 20, 40, 64])
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--rings", type=int, default=30)
     args = parser.parse_args(argv)
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     try:
-        rows = measure(args.sizes, args.repeat, args.rings)
+        rows = measure(args.sizes, args.repeat)
     finally:
         os.sched_setaffinity(0, cpus)
     for name, n, us, failed in rows:
