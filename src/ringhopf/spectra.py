@@ -17,6 +17,7 @@ it is real only when its real part also passes that gate. An eigenvector
 is accepted at eigenpair backward error <= 1e-9, so `eigenvector_for`
 works at any scale of the ring. From VECTOR_SWEEP_MIN_N roots on, a sweep
 moves all roots at once in numpy; both sweeps pass one backward-error gate.
+A repeat `eigenvalues` call on the same ring object returns the same Spectrum.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ PAIR_TOL = 1e-8
 AXIS_TOL = 1e-8
 EIGENVECTOR_RESIDUAL_TOL = 1e-9
 VECTOR_SWEEP_MIN_N = 12  # measured crossover of the two Aberth sweeps
+_memo = None  # (params, residual_tol, axis_tol, Spectrum) of the last solve, swapped whole
 
 
 class RootFindingError(RuntimeError):
@@ -373,7 +375,18 @@ def eigenvalues(
     residual_tol: float = RESIDUAL_TOL,
     axis_tol: float = AXIS_TOL,
 ) -> Spectrum:
-    """All n eigenvalues of the ring Jacobian, each with backward error <= residual_tol."""
+    """All n eigenvalues of the ring Jacobian, each with backward error <= residual_tol;
+    a repeat call on the same params object and tolerances returns the same Spectrum."""
+    global _memo
+    memo = _memo  # keyed on identity: equal rings may differ in the sign of a zero
+    if memo and memo[0] is params and memo[1:3] == (residual_tol, axis_tol):
+        return memo[3]
+    spectrum = _solve(params, residual_tol, axis_tol)
+    _memo = (params, residual_tol, axis_tol, spectrum)
+    return spectrum
+
+
+def _solve(params: RingParams, residual_tol: float, axis_tol: float) -> Spectrum:
     require_valid(params)
     a, c = params.a, params.coupling_product()
     roots, sweeps = _aberth_roots(a, c, residual_tol)

@@ -5,7 +5,32 @@ database, so every run draws the same examples and no example fails on a
 slow machine.
 """
 
+import pytest
 from hypothesis import settings
+
+from ringhopf import spectra
 
 settings.register_profile("ringhopf", derandomize=True, deadline=None, database=None)
 settings.load_profile("ringhopf")
+
+
+@pytest.fixture(autouse=True)
+def _fresh_spectrum_memo():
+    """Each test solves its own rings: `eigenvalues` returns its last Spectrum for the same
+    ring object, which a test that patches spectra's internals must not get from another."""
+    spectra._memo = None
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The number of Aberth solves, `spectra._aberth_roots` calls, made so far in the test."""
+    count = 0
+    aberth = spectra._aberth_roots
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return aberth(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "_aberth_roots", counted)
+    return lambda: count

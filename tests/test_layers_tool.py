@@ -25,3 +25,14 @@ def test_layer_timings_run_at_n_3():
         "RK4 step",
     ]
     assert all(n == 3 and 0 < us < 1e6 and failed == 0 for _, n, us, failed in rows)
+
+
+def test_layer_timings_solve_on_every_call(solves):
+    # each batch holds RINGS distinct rings, so eigenvalues' one-entry memo never
+    # answers for them and every figure stays the cost of a solve
+    spec = importlib.util.spec_from_file_location("layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    layers.main(["--sizes", "3", "--repeat", "2"])
+    # per pass: both eigenvalues sweeps and remove_multiple, none of whose rings is repaired
+    assert solves() == 2 * 3 * layers.RINGS

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ringhopf import spectra
-from ringhopf.genericity import detect_resonance, remove_resonances
-from ringhopf.model import AdjacencyMatrix, RingParams, time_rescale
+from ringhopf import simulate, spectra
+from ringhopf.genericity import detect_resonance, remove_multiple, remove_resonances
+from ringhopf.model import AdjacencyMatrix, AdmissibleOdeFamily, RingParams, time_rescale
 from ringhopf.spectra import (
     RootFindingError,
     ZeroCouplingError,
@@ -591,3 +591,67 @@ def test_small_rings_stay_on_the_scalar_sweep(monkeypatch):
 
     monkeypatch.setattr(spectra, "_vector_sweep", refuse)
     assert eigenvalues(oracles.REFERENCE_RING).n == 3
+
+
+@pytest.mark.parametrize("kind", ["plain", "axis", "double"])
+def test_the_repair_pipeline_solves_each_ring_once(kind, solves):
+    # the calls a ring scan makes: a repair that changes nothing returns its
+    # input ring, and a repair that changes it has solved the ring it returns
+    n, rng = 10, np.random.default_rng(7)
+    if kind == "plain":
+        ring = RingParams(n, tuple(rng.uniform(-3, 3, n)), tuple(rng.uniform(-3, 3, n)))
+    elif kind == "axis":
+        ring = oracles.construct_hopf_ring(n, rng)[0]
+    else:
+        ring = oracles.construct_grid_double_ring(n, rng)[0]
+    eigenvalues(ring)
+    multiple = remove_multiple(ring, epsilon=1e-3)
+    resonances = remove_resonances(multiple.perturbed, k_max=3, epsilon=1e-3)
+    assert (multiple.perturbed is ring) == (kind != "double")
+    assert resonances.perturbed is multiple.perturbed
+    assert solves() == (2 if kind == "double" else 1)
+
+
+def test_branch_sweep_solves_the_base_ring_once(solves, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise simulate.DivergenceError("not integrated")
+
+    monkeypatch.setattr(simulate, "integrate", diverge)
+    rows = simulate.branch_sweep(AdmissibleOdeFamily(oracles.REFERENCE_RING), [-0.1, 0.05, 0.1])
+    assert [row.diagnostic for row in rows] == ["not integrated"] * 3
+    assert solves() == 1
+
+
+def test_equal_rings_are_solved_apart(solves):
+    # equal in value, but the signs of the zeros give the two different spectra
+    minus = RingParams(3, (-0.0,) * 3, (-0.0, 1.0, 1.0))
+    plus = RingParams(3, (0.0,) * 3, (0.0, 1.0, 1.0))
+    assert minus == plus
+    first = eigenvalues(plus)
+    assert repr(eigenvalues(minus)) != repr(first)
+    copy = RingParams(3, plus.a, plus.b)
+    assert repr(eigenvalues(copy)) == repr(first)
+    assert solves() == 3
+    assert eigenvalues(copy) is eigenvalues(copy)
+    assert solves() == 3
+
+
+def test_other_tolerances_miss_the_memo(solves):
+    ring = oracles.REFERENCE_RING
+    first = eigenvalues(ring)
+    assert eigenvalues(ring) is first
+    assert eigenvalues(ring, residual_tol=1e-9) is not first
+    assert eigenvalues(ring, axis_tol=1e-7) is not first
+    assert eigenvalues(ring) is not first
+    assert solves() == 4
+
+
+def test_a_call_that_raised_is_not_recorded(solves):
+    rng = np.random.default_rng(0)
+    r = RingParams(40, tuple(rng.uniform(-3, 3, 40)), tuple(rng.uniform(-3, 3, 40)))
+    kept = eigenvalues(oracles.REFERENCE_RING)
+    for _ in range(2):
+        with pytest.raises(RootFindingError, match="exceeds the threshold"):
+            eigenvalues(r, residual_tol=0.0)
+    assert eigenvalues(oracles.REFERENCE_RING) is kept
+    assert solves() == 3
