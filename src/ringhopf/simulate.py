@@ -6,11 +6,11 @@ the Hopf point), and a fixed grid makes the Fourier windows an exact number
 of steps. Node j reads only x_j and x_{j+1}, so the whole step loop for a
 ring of n nodes is generated once as straight-line Python source over
 local floats, compiled, and cached by n; the coefficients are arguments,
-so one kernel serves every family of that size. A step then makes no
-function call and builds no list: one step takes about 3 us at n = 3,
-6-8 us at n = 7, 27-30 us at n = 30 and 35-37 us at n = 40, and compiling
-a kernel, once per size and process, about 1 ms at n = 3 and 8 ms at
-n = 40 (CPython 3.11 on a shared 2-core x86-64 machine).
+so one kernel serves every family of that size. A step makes no function
+call and builds no list, and a hunt stores none of its settle steps. On a
+shared 2-core x86-64 machine (CPython 3.11, one CPU) a stored step takes
+about 2-3 us at n = 3, 5-7 us at n = 7, 19-27 us at n = 30 and 25-35 us
+at n = 40, an unstored one about 10% less, and a kernel compiles in 1-13 ms.
 Phase differences are measured from the fundamental Fourier coefficients
 c_j over a window of whole periods; the reported Delta_j = arg(c_j / c_{j+1})
 uses the same orientation as the predicted phase shifts (node j relative
@@ -43,7 +43,11 @@ PERIOD_TOL = 0.01  # largest spread of the measured periods, relative to their m
 
 
 class DivergenceError(RuntimeError):
-    """The trajectory left the integration domain or became non-finite."""
+    """The trajectory left the integration domain or became non-finite (at RK4 step `step`)."""
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
 
 
 class NoCycleError(RuntimeError):
@@ -66,13 +70,13 @@ class Trajectory:
 def _rk4_kernel(n: int):
     """The RK4 step loop for rings of n nodes, compiled from generated source.
 
-    rk4(out, stop, h, limit, x_0..x_{n-1}, a_0.., b_0.., g_0..) steps the
-    state x from flat offset n of `out` up to `stop`, writing each state
-    after it passes the divergence check, and returns 0, or the number of
-    the step whose state left |x_j| <= limit (NaN included) or whose cube
-    overflowed. The operations and their order are those of the right-hand
-    side (a_j y_j + b_j y_{j+1}) + g_j y_j**3 and of the update
-    x + (h/6)(((k1 + 2 k2) + 2 k3) + k4), one float at a time.
+    rk4(out, skip, stop, h, limit, x_0..x_{n-1}, a_0.., b_0.., g_0..) takes
+    `skip` steps from x that store nothing, writes the state reached to
+    out[0:n], steps on up to flat offset `stop` writing each state after it
+    passes the divergence check, and returns 0, or the number (from x) of
+    the step whose state left -limit <= x_j <= limit (NaN included) or whose
+    cube overflowed. Operations and order are those of the right-hand side
+    (a_j y_j + b_j y_{j+1}) + g_j y_j**3 and of x + (h/6)(((k1 + 2 k2) + 2 k3) + k4).
     """
     nodes = range(n)
 
@@ -90,28 +94,55 @@ def _rk4_kernel(n: int):
         + stage("k2", "y") + move("half", "k2")
         + stage("k3", "y") + move("h", "k3")
         + stage("k4", "y")
-        + [f"x_{j} = x_{j} + sixth * (((k1_{j} + 2 * k2_{j}) + 2 * k3_{j}) + k4_{j})" for j in nodes]
-        + ["if not (" + " and ".join(f"abs(x_{j}) <= limit" for j in nodes) + "):"]
-        + [f"    return i // {n}"]
-        + [f"out[i + {j}] = x_{j}" for j in nodes]
+        + [f"x_{j} = x_{j} + sixth * (((k1_{j} + 2.0 * k2_{j}) + 2.0 * k3_{j}) + k4_{j})" for j in nodes]
+        + ["if not (" + " and ".join(f"low <= x_{j} <= limit" for j in nodes) + "):"]
+        + [f"    return skip + i // {n}"]
     )
     params = ", ".join(f"{v}_{j}" for v in "xabg" for j in nodes)
     source = "\n".join(
         [
-            f"def rk4(out, stop, h, limit, {params}):",
+            f"def rk4(out, skip, stop, h, limit, {params}):",
             "    half = 0.5 * h",
             "    sixth = h / 6.0",
+            "    low = -limit",
             "    try:",
+            f"        for i in range({n} - skip * {n}, {n}, {n}):",  # i // n + skip is the step
+            *("            " + line for line in body),
+            *(f"        out[{j}] = x_{j}" for j in nodes),
             f"        for i in range({n}, stop, {n}):",
             *("            " + line for line in body),
+            *(f"            out[i + {j}] = x_{j}" for j in nodes),
             "    except OverflowError:",  # float ** on a cube out of range
-            f"        return i // {n}",
+            f"        return skip + i // {n}",
             "    return 0",
         ]
     )
     namespace = {}
     exec(compile(source, f"<rk4 kernel, n={n}>", "exec"), namespace)
     return namespace["rk4"]
+
+
+def _step_count(t_end: float, h: float, lam: float) -> int:
+    for name, value in (("t_end", t_end), ("h", h), ("lam", lam)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if h <= 0 or t_end <= 0:
+        raise ValueError(f"h and t_end must be positive, got h={h}, t_end={t_end}")
+    if not math.isfinite(t_end / h):
+        raise ValueError(f"t_end={t_end} and h={h} give {t_end / h} steps")
+    return int(round(t_end / h))
+
+
+def _rk4(family: AdmissibleOdeFamily, x: np.ndarray, lam: float, h: float, skip: int, rows: int):
+    """`rows` states one RK4 step apart, the first after `skip` unstored steps from x."""
+    out = np.empty((rows, len(x)))
+    failed = _rk4_kernel(len(x))(
+        memoryview(out.reshape(-1)), skip, out.size, float(h), DIVERGENCE_NORM,
+        *x.tolist(), *(np.asarray(family.base.a) + lam).tolist(), *family.base.b, *family.cubic,
+    )
+    if failed:
+        raise DivergenceError(f"trajectory diverged at t={failed * h:.6g}", failed)
+    return out
 
 
 def integrate(
@@ -124,30 +155,13 @@ def integrate(
     """Classical RK4 with fixed step h from t=0 to (approximately) t_end."""
     if lam is None:
         lam = family.lam
-    for name, value in (("t_end", t_end), ("h", h), ("lam", lam)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if h <= 0 or t_end <= 0:
-        raise ValueError(f"h and t_end must be positive, got h={h}, t_end={t_end}")
-    n_steps = t_end / h
-    if not math.isfinite(n_steps):
-        raise ValueError(f"t_end={t_end} and h={h} give {n_steps} steps")
-    n_steps = int(round(n_steps))
+    n_steps = _step_count(t_end, h, lam)
     n = family.base.n
     x = np.asarray(x0, dtype=float)
     if x.shape != (n,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be a finite state of length {n}")
-    a = (np.asarray(family.base.a) + lam).tolist()
-    states = np.empty((n_steps + 1, n))
-    states[0] = x
-    failed = _rk4_kernel(n)(
-        memoryview(states.reshape(-1)), n * (n_steps + 1), float(h), DIVERGENCE_NORM,
-        *x.tolist(), *a, *family.base.b, *family.cubic,
-    )
-    if failed:
-        raise DivergenceError(f"trajectory diverged at t={failed * h:.6g}")
-    times = h * np.arange(n_steps + 1)
-    return Trajectory(times=times, states=states, lam=lam, step=h)
+    states = _rk4(family, x, lam, h, 0, n_steps + 1)
+    return Trajectory(times=h * np.arange(n_steps + 1), states=states, lam=lam, step=h)
 
 
 @dataclass(frozen=True)
@@ -262,11 +276,11 @@ def find_limit_cycle(
     The hunt starts from 0.1*sqrt(|lam|) times the real part of the
     critical eigenvector, close to the expected orbit. At lam = 0, the Hopf
     point, that seed is the equilibrium, so NoCycleError comes at once.
-    The measured tail spans MEASURE_CYCLES + 2 linear periods 2*pi/omega.
-    The cubic lengthens the true period (by 12.7% on the reference ring at
-    lam = 0.1), so when the tail holds fewer than MEASURE_CYCLES + 1 upward
-    crossings of node 1 the integration goes on in whole linear periods,
-    at most MAX_EXTRA_PERIODS of them, and the longer tail is measured.
+    The settle is not stored; the tail, MEASURE_CYCLES + 2 linear periods
+    2*pi/omega on from the settled state, is. The cubic lengthens the true
+    period (12.7% on the reference ring at lam = 0.1), so when the tail has
+    fewer than MEASURE_CYCLES + 1 upward crossings of node 1 it goes on in
+    whole linear periods, at most MAX_EXTRA_PERIODS of them.
     """
     if lam == 0:
         raise NoCycleError(
@@ -281,21 +295,27 @@ def find_limit_cycle(
         settle_time = max(40 * period_pred, 4.0 / max(abs(lam), 1e-6))
     x0 = 0.1 * math.sqrt(abs(lam)) * u.real
     measure_time = (MEASURE_CYCLES + 2) * period_pred
-    traj = integrate(family, x0, settle_time + measure_time, h, lam=lam)
-    keep = int(round(measure_time / h)) + 1
-    times, states = traj.times[-keep:], traj.states[-keep:]
-    extra = 0
-    while extra < MAX_EXTRA_PERIODS:
-        missing = MEASURE_CYCLES + 1 - len(_node1_crossings(times, states)[1])
-        if missing <= 0:
-            break
-        periods = min(missing + 1, MAX_EXTRA_PERIODS - extra)
-        more = integrate(family, states[-1], periods * period_pred, h, lam=lam)
-        times = np.concatenate((times, times[-1] + more.times[1:]))
-        states = np.concatenate((states, more.states[1:]))
-        extra += periods
-    tail = Trajectory(times=times, states=states, lam=lam, step=h)
-    return measure_cycle(tail, period_tol=tol)
+    skip = max(_step_count(settle_time + measure_time, h, lam) - int(round(measure_time / h)), 0)
+    states = _rk4(family, x0, lam, h, skip, 1)  # a settle_time below 0 settles for none
+    try:
+        states = integrate(family, states[0], measure_time, h, lam=lam).states
+        times = h * np.arange(skip, skip + len(states))
+        extra = 0
+        while extra < MAX_EXTRA_PERIODS:
+            missing = MEASURE_CYCLES + 1 - len(_node1_crossings(times, states)[1])
+            if missing <= 0:
+                break
+            periods = min(missing + 1, MAX_EXTRA_PERIODS - extra)
+            more = integrate(family, states[-1], periods * period_pred, h, lam=lam)
+            times = np.concatenate((times, times[-1] + more.times[1:]))
+            states = np.concatenate((states, more.states[1:]))
+            extra += periods
+    except DivergenceError as exc:  # count the failing step from the start of the hunt
+        if exc.step is None:
+            raise
+        step = skip + len(states) - 1 + exc.step
+        raise DivergenceError(f"trajectory diverged at t={step * h:.6g}", step) from None
+    return measure_cycle(Trajectory(times=times, states=states, lam=lam, step=h), period_tol=tol)
 
 
 @dataclass(frozen=True)

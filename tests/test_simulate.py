@@ -13,6 +13,8 @@ from ringhopf.phases import phase_shifts
 from ringhopf.simulate import (
     DEFAULT_STEPS_PER_PERIOD,
     DIVERGENCE_NORM,
+    MAX_EXTRA_PERIODS,
+    MEASURE_CYCLES,
     DivergenceError,
     NoCycleError,
     Trajectory,
@@ -23,7 +25,7 @@ from ringhopf.simulate import (
     integrate,
     measure_cycle,
 )
-from ringhopf.spectra import eigenvector_for
+from ringhopf.spectra import eigenvalues, eigenvector_for
 
 TWO_PI = 2 * math.pi
 
@@ -202,6 +204,100 @@ def test_positive_cubic_diverges():
     u = np.array(eigenvector_for(oracles.REFERENCE_RING, 1j).entries)
     with pytest.raises(DivergenceError):
         integrate(fam, 2.0 * u.real, t_end=200.0, h=0.01, lam=0.5)
+
+
+def _hunt_start(family, lam):
+    """The step, the seed and the tail length of a default-step hunt at lam."""
+    omega = eigenvalues(family.base).omega
+    u = np.array(eigenvector_for(family.base, 1j * omega).entries)
+    period = TWO_PI / omega
+    seed = 0.1 * math.sqrt(abs(lam)) * u.real
+    return period / DEFAULT_STEPS_PER_PERIOD, seed, (MEASURE_CYCLES + 2) * period
+
+
+@pytest.mark.parametrize("lam, settle_time", [(0.1, 30.0), (0.01, 40.0)])
+def test_hunt_equals_the_tail_of_one_integration(monkeypatch, lam, settle_time):
+    # the settle is stepped without storing and the tail integrated on from
+    # the state it reached: the measurement must be the one taken on the last
+    # rows of a single run from the seed, bit for bit
+    fam = AdmissibleOdeFamily(oracles.REFERENCE_RING)
+    h, x0, measure_time = _hunt_start(fam, lam)
+    full = integrate(fam, x0, settle_time + measure_time, h, lam=lam)
+    keep = int(round(measure_time / h)) + 1
+    want = measure_cycle(Trajectory(full.times[-keep:], full.states[-keep:], lam, h))
+    asked = []
+
+    def spy(family, x, t_end, step, lam=None):
+        asked.append(t_end)
+        return integrate(family, x, t_end, step, lam=lam)
+
+    monkeypatch.setattr(simulate, "integrate", spy)
+    got = find_limit_cycle(fam, lam, settle_time=settle_time)
+    assert repr(got) == repr(want)
+    # only the tail and its continuations go through integrate, never the settle
+    period = TWO_PI / eigenvalues(fam.base).omega
+    assert asked and max(asked) <= (MEASURE_CYCLES + 2 + MAX_EXTRA_PERIODS) * period
+
+
+@pytest.mark.parametrize("settle_time", [30.0, 10.0])
+def test_hunt_divergence_is_timed_from_the_seed(settle_time):
+    # the growing family leaves DIVERGENCE_NORM at t = 18.36 from the seed:
+    # in the settle for settle_time 30, in the tail for settle_time 10
+    lam = 0.1
+    fam = AdmissibleOdeFamily(oracles.REFERENCE_RING, cubic=(1.0, 1.0, 1.0))
+    h, x0, measure_time = _hunt_start(fam, lam)
+    with pytest.raises(DivergenceError) as whole:
+        integrate(fam, x0, settle_time + measure_time, h, lam=lam)
+    with pytest.raises(DivergenceError) as hunt:
+        find_limit_cycle(fam, lam, settle_time=settle_time)
+    assert str(hunt.value) == str(whole.value) == "trajectory diverged at t=18.3563"
+    assert hunt.value.step == whole.value.step
+
+
+def test_hunt_divergence_by_an_overflowing_cube_in_the_settle():
+    # a cube of a stage value overflows in step 261 of the settle before
+    # any state has left DIVERGENCE_NORM
+    lam = 1.0
+    fam = AdmissibleOdeFamily(oracles.REFERENCE_RING, cubic=(10.0, 10.0, 10.0))
+    h, x0, measure_time = _hunt_start(fam, lam)
+    ring = fam.base
+    states = oracles.rk4_states(ring.a, ring.b, fam.cubic, lam, x0, h, 260)
+    assert np.all(np.abs(states) <= DIVERGENCE_NORM)
+    with pytest.raises(OverflowError):
+        oracles.rk4_states(ring.a, ring.b, fam.cubic, lam, x0, h, 261)
+    with pytest.raises(DivergenceError) as whole:
+        integrate(fam, x0, 30.0 + measure_time, h, lam=lam)
+    with pytest.raises(DivergenceError) as hunt:
+        find_limit_cycle(fam, lam, settle_time=30.0)
+    assert hunt.value.step == whole.value.step == 261
+    assert str(hunt.value) == str(whole.value) == f"trajectory diverged at t={261 * h:.6g}"
+
+
+def _outcome(fn, *args, **kwargs) -> str:
+    try:
+        return repr(fn(*args, **kwargs))
+    except (NoCycleError, DivergenceError) as exc:
+        return repr(exc)
+
+
+def test_negative_settle_time_settles_for_none():
+    fam = AdmissibleOdeFamily(oracles.REFERENCE_RING)
+    none = _outcome(find_limit_cycle, fam, 0.1, settle_time=0.0)
+    assert _outcome(find_limit_cycle, fam, 0.1, settle_time=-5.0) == none
+
+
+def _refuse_kernel(n):
+    raise AssertionError("an RK4 kernel was asked for")
+
+
+def test_hunt_at_the_hopf_point_takes_no_step(monkeypatch):
+    # the settle goes straight to the kernel, past integrate
+    monkeypatch.setattr(simulate, "_rk4_kernel", _refuse_kernel)
+    fam = AdmissibleOdeFamily(oracles.REFERENCE_RING)
+    with pytest.raises(NoCycleError, match=r"lambda=0\.0 is the Hopf point"):
+        find_limit_cycle(fam, 0.0)
+    rows = branch_sweep(fam, [0.0])
+    assert "lambda=0.0 is the Hopf point" in rows[0].diagnostic
 
 
 def test_limit_cycle_period_near_hopf(reference_cycle):
