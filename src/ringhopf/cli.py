@@ -36,10 +36,11 @@ def _positive(value: str) -> float:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """The same bytes, ending in one newline, to stdout or to the file at path."""
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w") as fh:
             fh.write(text)
@@ -57,10 +58,7 @@ def cmd_analyze(args) -> int:
     doc = {"ring": ring.to_dict(), "spectrum": spectrum.to_dict()}
     if ring.n == 3:
         doc["hopf"] = hopf.hopf_conditions_3(ring).to_dict()
-    doc["imaginary_pair"] = {
-        "omega": detection.omega,
-        "warnings": list(detection.warnings),
-    }
+    doc["imaginary_pair"] = detection.to_dict()
     found = detection.omega is not None
     if found and all(v != 0.0 for v in ring.b):
         profile = phases.phase_shifts(ring, detection.omega)

@@ -29,7 +29,7 @@ class NotAHopfPointError(ValueError):
 
 
 @dataclass(frozen=True)
-class HopfReport:
+class HopfReport(Record):
     omega_sq: float
     product_lhs: float
     product_rhs: float
@@ -41,10 +41,7 @@ class HopfReport:
     marginal_excluded: bool
     pairwise_sums_negative: bool
     coupling_product_negative: bool
-
-    @property
-    def is_hopf_point(self) -> bool:
-        return self.positivity and self.product_identity
+    is_hopf_point: bool  # positivity and product_identity
 
     def not_a_hopf_point(self, need: str) -> NotAHopfPointError:
         """The error for `need`: omega^2, the identity gap at PRODUCT_REL_TOL, the trace."""
@@ -54,24 +51,6 @@ class HopfReport:
             f"{abs(self.product_lhs - self.product_rhs):.3e} (tolerance {tol:.3e}), "
             f"trace {self.trace:.6g}"
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "omega_sq": self.omega_sq,
-            "product_lhs": self.product_lhs,
-            "product_rhs": self.product_rhs,
-            "trace": self.trace,
-            "omega": self.omega,
-            "flags": {
-                "positivity": self.positivity,
-                "product_identity": self.product_identity,
-                "first_bifurcation": self.first_bifurcation,
-                "marginal_excluded": self.marginal_excluded,
-                "pairwise_sums_negative": self.pairwise_sums_negative,
-                "coupling_product_negative": self.coupling_product_negative,
-            },
-            "is_hopf_point": self.is_hopf_point,
-        }
 
 
 def hopf_conditions_3(params: RingParams, rel_tol: float = PRODUCT_REL_TOL) -> HopfReport:
@@ -99,6 +78,7 @@ def hopf_conditions_3(params: RingParams, rel_tol: float = PRODUCT_REL_TOL) -> H
         marginal_excluded=trace != 0,
         pairwise_sums_negative=all(s < 0 for s in sums),
         coupling_product_negative=rhs < 0,
+        is_hopf_point=positivity and identity,
     )
 
 
@@ -138,7 +118,7 @@ def sign_constraints(params: RingParams) -> SignConstraintReport:
 
 
 @dataclass(frozen=True)
-class ImaginaryPairDetection:
+class ImaginaryPairDetection(Record):
     omega: float | None
     warnings: tuple[str, ...]
 

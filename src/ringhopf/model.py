@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,14 @@ def _jsonable(value):
     return value
 
 
+def _require_finite(**entries) -> None:
+    """RingFormatError naming the first entry of any sequence that is not finite."""
+    for name, values in entries.items():
+        for j, v in enumerate(values):
+            if not math.isfinite(v):
+                raise RingFormatError(f"{name}[{j}] is not finite: {v}")
+
+
 @dataclass(frozen=True)
 class RingParams(Record):
     """Linearisation data of an n-node unidirectional ring."""
@@ -62,10 +70,7 @@ class RingParams(Record):
                 f"expected {self.n} diagonal and coupling entries, "
                 f"got len(a)={len(self.a)}, len(b)={len(self.b)}"
             )
-        for name, values in (("a", self.a), ("b", self.b)):
-            for j, v in enumerate(values):
-                if not math.isfinite(v):
-                    raise RingFormatError(f"{name}[{j}] is not finite: {v}")
+        _require_finite(a=self.a, b=self.b)
 
     def jacobian(self) -> np.ndarray:
         J = np.diag(np.asarray(self.a, dtype=float))
@@ -160,6 +165,9 @@ class AdmissibleOdeFamily:
             raise RingFormatError(
                 f"cubic has {len(self.cubic)} entries, expected {self.base.n}"
             )
+        _require_finite(cubic=self.cubic)
+        if not math.isfinite(self.lam):
+            raise RingFormatError(f"lam is not finite: {self.lam}")
 
     def jacobian(self, lam: float | None = None) -> np.ndarray:
         if lam is None:
@@ -184,7 +192,7 @@ class AdmissibleOdeFamily:
 
 
 @dataclass(frozen=True)
-class AdjacencyMatrix:
+class AdjacencyMatrix(Record):
     """Dense nonnegative-integer adjacency matrix.
 
     Convention: entries[i][j] is the number of arrows from node j to node i.
@@ -192,6 +200,7 @@ class AdjacencyMatrix:
 
     n: int
     rows: tuple[tuple[int, ...], ...]
+    convention: str = field(default=ADJACENCY_CONVENTION, init=False)
 
     def __post_init__(self):
         rows = tuple(tuple(int(v) for v in row) for row in self.rows)
@@ -205,13 +214,6 @@ class AdjacencyMatrix:
 
     def matrix(self) -> np.ndarray:
         return np.asarray(self.rows, dtype=float)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [list(r) for r in self.rows],
-            "convention": ADJACENCY_CONVENTION,
-        }
 
 
 def _load_document(path, build):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .hopf import NotAHopfPointError, hopf_conditions_3
-from .model import RingParams, cyclic_relabel, require_valid
+from .model import Record, RingParams, cyclic_relabel, require_valid
 from .spectra import ZeroCouplingError, backward_error
 
 TWO_PI = 2 * math.pi
@@ -57,7 +57,7 @@ def quadrant_of_ratio(a_j: float, b_j: float, omega_sign: int = 1, zero_tol: flo
 
 
 @dataclass(frozen=True)
-class PhaseProfile:
+class PhaseProfile(Record):
     omega_sign: int
     omega: float
     theta: tuple[float, ...]
@@ -66,14 +66,7 @@ class PhaseProfile:
     wave_class: str
 
     def to_dict(self) -> dict:
-        return {
-            "omega_sign": self.omega_sign,
-            "omega": self.omega,
-            "theta": list(self.theta),
-            "ratio_quadrant": [s.label() for s in self.ratio_quadrant],
-            "case_label": self.case_label,
-            "wave_class": self.wave_class,
-        }
+        return {**super().to_dict(), "ratio_quadrant": [s.label() for s in self.ratio_quadrant]}
 
 
 def _zero_tol(params: RingParams) -> float:

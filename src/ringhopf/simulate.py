@@ -165,23 +165,13 @@ def integrate(
 
 
 @dataclass(frozen=True)
-class CycleMeasurement:
+class CycleMeasurement(Record):
     period: float
     fundamental_coeffs: tuple[complex, ...]
     amplitudes: tuple[float, ...]
     phase_diffs: tuple[float, ...]  # Delta_j = arg(c_j / c_{j+1}) in [0, 2*pi)
     lam: float
     step: float  # the RK4 step h of the measured trajectory
-
-    def to_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "fundamental_coeffs": [[c.real, c.imag] for c in self.fundamental_coeffs],
-            "amplitudes": list(self.amplitudes),
-            "phase_diffs": list(self.phase_diffs),
-            "lambda": self.lam,
-            "step": self.step,
-        }
 
 
 def _upward_crossings(times: np.ndarray, signal: np.ndarray) -> np.ndarray:

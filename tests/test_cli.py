@@ -227,6 +227,11 @@ def test_output_file_option(capsys, reference_ring_file, tmp_path):
     assert out == ""
     doc = json.loads(out_path.read_text())
     assert doc["hopf"]["is_hopf_point"]
+    # the file holds the bytes the same command prints, final newline included
+    for argv in (["analyze", reference_ring_file], ["phases", reference_ring_file], ["tables"]):
+        code, out, _ = run(capsys, argv + ["--out", str(out_path)])
+        assert (code, out) == (EXIT_FOUND, "")
+        assert out_path.read_bytes() == run(capsys, argv)[1].encode()
 
 
 def test_log_env_variable(capsys, reference_ring_file, monkeypatch):

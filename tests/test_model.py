@@ -57,6 +57,11 @@ def test_nonfinite_rejected():
         RingParams(3, (1.0, math.nan, 3.0), (1.0, 1.0, 1.0))
     with pytest.raises(RingFormatError):
         RingParams(3, (1.0, 2.0, 3.0), (math.inf, 1.0, 1.0))
+    ring = RingParams(3, (1.0, 2.0, 3.0), (1.0, 1.0, 1.0))
+    with pytest.raises(RingFormatError, match=r"cubic\[1\] is not finite: nan"):
+        AdmissibleOdeFamily(ring, cubic=(-1.0, math.nan, -1.0))
+    with pytest.raises(RingFormatError, match="lam is not finite: -inf"):
+        AdmissibleOdeFamily(ring, lam=-math.inf)
 
 
 def test_validate_small_ring_reports_not_raises():
@@ -199,6 +204,7 @@ def test_load_missing_field(tmp_path):
         {"n": None, "a": [1, 2, 3], "b": [1, 1, 1]},
         {"n": 3, "a": [1, 2, 3], "b": [1, 1, 1], "cubic": 5},
         {"n": 3, "a": [1, 2, 3], "b": [1, 1, 1], "lambda": None},
+        {"n": 3, "a": [1, 2, 3], "b": [1, 1, 1], "cubic": [math.nan, -1, -1], "lambda": math.inf},
     ],
 )
 def test_load_family_malformed_fields(tmp_path, doc):

@@ -1,7 +1,11 @@
 """The JSON layout of every result record, pinned.
 
 A `Record` writes its fields in declaration order, tuples as lists, complex
-numbers as [re, im] and nested records as objects. A class that joins
+numbers as [re, im] and nested records as objects. `model.Record` is the
+only place that knows this rule: every record the CLI prints and every
+document `save` writes goes through it, except the family file, whose
+layout `load_family` reads. The one override, `PhaseProfile`, writes its
+ratio sectors as labels in their field's place. A class that joins
 `Record` gets its layout pinned here, and a new field shows up as an edit
 of RECORD_KEYS.
 """
@@ -19,9 +23,26 @@ from ringhopf.genericity import (
     multiplicity_forbidden_set,
     remove_multiple,
 )
-from ringhopf.hopf import CrossingCheck, SignConstraintReport, crossing_check, sign_constraints
-from ringhopf.model import AdmissibleOdeFamily, Record, RingParams, save
-from ringhopf.phases import phase_shifts
+from ringhopf.hopf import (
+    CrossingCheck,
+    HopfReport,
+    ImaginaryPairDetection,
+    SignConstraintReport,
+    crossing_check,
+    detect_imaginary_pair,
+    hopf_conditions_3,
+    sign_constraints,
+)
+from ringhopf.model import (
+    ADJACENCY_CONVENTION,
+    AdjacencyMatrix,
+    AdmissibleOdeFamily,
+    Record,
+    RingParams,
+    load_adjacency,
+    save,
+)
+from ringhopf.phases import PhaseProfile, phase_shifts
 from ringhopf.simulate import CycleMeasurement, PhaseComparison, compare_predicted
 from ringhopf.spectra import Spectrum, eigenvalues
 
@@ -44,20 +65,32 @@ RECORD_KEYS = {
         "original", "perturbed", "delta", "achieved_gap", "removed", "forbidden", "margin",
     ),
     PhaseComparison: ("distances", "max_distance", "mean_distance"),
+    HopfReport: (
+        "omega_sq", "product_lhs", "product_rhs", "trace", "omega", "positivity",
+        "product_identity", "first_bifurcation", "marginal_excluded", "pairwise_sums_negative",
+        "coupling_product_negative", "is_hopf_point",
+    ),
+    ImaginaryPairDetection: ("omega", "warnings"),
+    PhaseProfile: ("omega_sign", "omega", "theta", "ratio_quadrant", "case_label", "wave_class"),
+    CycleMeasurement: ("period", "fundamental_coeffs", "amplitudes", "phase_diffs", "lam", "step"),
+    AdjacencyMatrix: ("n", "rows", "convention"),
 }
+
+
+def _measured(theta) -> CycleMeasurement:
+    return CycleMeasurement(
+        period=6.3,
+        fundamental_coeffs=(1 + 1j, 1j, -1 + 0j),
+        amplitudes=(2**0.5, 1.0, 1.0),
+        phase_diffs=tuple(t + 0.01 for t in theta),
+        lam=0.1,
+        step=1e-3,
+    )
 
 
 def _comparison() -> PhaseComparison:
     profile = phase_shifts(oracles.REFERENCE_RING, 1.0)
-    measured = CycleMeasurement(
-        period=6.3,
-        fundamental_coeffs=(1 + 1j, 1j, -1 + 0j),
-        amplitudes=(2**0.5, 1.0, 1.0),
-        phase_diffs=tuple(t + 0.01 for t in profile.theta),
-        lam=0.1,
-        step=1e-3,
-    )
-    return compare_predicted(measured, profile)
+    return compare_predicted(_measured(profile.theta), profile)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +105,11 @@ def records() -> dict:
         ResonanceFlag: ResonanceFlag(k=2, omega=1.5),
         PerturbationResult: remove_multiple(DOUBLE_AT_TWO, 1e-3),
         PhaseComparison: _comparison(),
+        HopfReport: hopf_conditions_3(ring),
+        ImaginaryPairDetection: detect_imaginary_pair(eigenvalues(ring)),
+        PhaseProfile: phase_shifts(ring, 1.0),
+        CycleMeasurement: _measured(oracles.REFERENCE_THETA),
+        AdjacencyMatrix: AdjacencyMatrix(5, oracles.ADJ_5),
     }
 
 
@@ -127,3 +165,45 @@ def test_perturb_prints_the_record_layout(capsys, tmp_path):
         assert name == "p_prime_root"
         assert isinstance(lam, list) and len(lam) == 2
     assert out == json.dumps(remove_multiple(DOUBLE_AT_TWO, 1e-3).to_dict(), indent=2) + "\n"
+
+
+def test_sector_labels_and_cycle_coefficients(records):
+    assert records[PhaseProfile].to_dict()["ratio_quadrant"] == ["2", "1", "3"]
+    coeffs = records[CycleMeasurement].to_dict()["fundamental_coeffs"]
+    assert coeffs == [[1.0, 1.0], [0.0, 1.0], [-1.0, 0.0]]
+
+
+@pytest.mark.parametrize("command", ["analyze", "phases"])
+def test_analyze_and_phases_print_the_record_layout(capsys, tmp_path, command):
+    ring = oracles.REFERENCE_RING
+    path = tmp_path / "ring.json"
+    save(ring, path)
+    assert main([command, str(path)]) == 0
+    out = capsys.readouterr().out
+    spectrum = eigenvalues(ring)
+    profile = phase_shifts(ring, spectrum.omega).to_dict()
+    if command == "analyze":
+        doc = {
+            "ring": ring.to_dict(),
+            "spectrum": spectrum.to_dict(),
+            "hopf": hopf_conditions_3(ring).to_dict(),
+            "imaginary_pair": detect_imaginary_pair(spectrum).to_dict(),
+            "phases": profile,
+        }
+        assert tuple(json.loads(out)["hopf"]) == RECORD_KEYS[HopfReport]
+    else:
+        doc = profile
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_adjacency_save_load_round_trip(tmp_path):
+    adj = AdjacencyMatrix(6, oracles.ADJ_6)
+    path = tmp_path / "adjacency.json"
+    save(adj, path)
+    text = path.read_text()
+    assert tuple(json.loads(text)) == RECORD_KEYS[AdjacencyMatrix]
+    assert json.loads(text)["convention"] == ADJACENCY_CONVENTION
+    loaded = load_adjacency(path)
+    assert loaded == adj
+    save(loaded, path)
+    assert path.read_text() == text
