@@ -8,8 +8,13 @@ to one of finitely many values that depend only on the diagonal entries:
     polynomial Q_k, which is likewise independent of the couplings.
 
 c is real, so only real values of -A are kept. By Rolle every root of A'
-is real, so for A' that filter only drops np.roots rounding noise. -A is
-evaluated in product form at all roots of a polynomial at once.
+is real, so for A' that filter only drops rounding noise.
+
+Since neither set involves the couplings, each is found once per diagonal:
+the dense A and the multiplicity set of the last diagonal are kept, keyed on
+the exact bits of a, and the roots of Q_2 ... Q_kmax come from one eigvals
+call on their stacked companion matrices, equal bit for bit to np.roots of
+each. -A is then evaluated in product form at all of them in one pass.
 
 So a single adjustment of b_1, after replacing any zero couplings, steers c
 into the largest forbidden-value-free subinterval reachable within the
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 import numpy as np
@@ -29,6 +35,8 @@ from .spectra import AXIS_TOL, Spectrum, a_poly_coeffs, axis_pairs, eigenvalues
 
 GAP_TOL_FACTOR = 1e-7
 REAL_VALUE_TOL = 1e-9
+
+_memo = None  # (a's bytes, A's dense coefficients, multiplicity ForbiddenSet or None), swapped whole
 
 
 class PerturbationBudgetError(RuntimeError):
@@ -92,14 +100,69 @@ class ForbiddenSet(Record):
         return ForbiddenSet(self.values + other.values, self.sources + other.sources)
 
 
-def _real_forbidden_values(lam_roots: np.ndarray, a, source: tuple) -> ForbiddenSet:
-    """-A(lambda) at each root lambda where it is real, sourced (*source, lambda)."""
-    values = -np.prod(np.asarray(a) - lam_roots[:, None], axis=1)
+def _roots(polys) -> list[np.ndarray]:
+    """np.roots of each coefficient array, bit for bit, with one eigvals call per companion size.
+
+    As in np.roots, leading and trailing zero coefficients are stripped, each trailing
+    zero adds a zero root, and roots whose imaginary parts are all 0 come back real.
+    """
+    out = [np.array([]) for _ in polys]
+    by_size: dict[int, list[tuple[int, np.ndarray, int]]] = {}
+    for i, p in enumerate(polys):
+        nonzero = np.flatnonzero(p)
+        if len(nonzero):
+            lead, last = nonzero[0], nonzero[-1]
+            by_size.setdefault(last + 1 - lead, []).append((i, p[lead : last + 1], len(p) - 1 - last))
+    for size, group in by_size.items():
+        if size > 1:
+            P = np.array([p for _, p, _ in group])
+            companion = np.zeros((len(group), size - 1, size - 1), P.dtype)
+            companion[:, 1:, :-1] = np.eye(size - 2)
+            companion[:, 0, :] = -P[:, 1:] / P[:, :1]
+            stacked = np.linalg.eigvals(companion)
+        for j, (i, _, trailing) in enumerate(group):
+            w = stacked[j] if size > 1 else np.array([])
+            if w.dtype.kind == "c" and not w.imag.any():
+                w = w.real
+            out[i] = np.concatenate((w, np.zeros(trailing, w.dtype)))
+    return out
+
+
+def _real_forbidden_values(root_sets, a, sources) -> ForbiddenSet:
+    """-A(lambda) at each root where it is real; root_sets[i]'s are sourced (*sources[i], lambda).
+
+    One product pass covers every set.
+    """
+    lam = np.concatenate(root_sets)
+    values = -np.prod(np.asarray(a) - lam[:, None], axis=1)
+    if lam.dtype.kind == "c":
+        start = 0
+        for roots in root_sets:
+            if roots.dtype.kind != "c":
+                # np.roots returned this set real: multiplied in real arithmetic, as
+                # on its own, a zero factor keeps the sign of its product
+                values[start : start + len(roots)] = -np.prod(np.asarray(a) - roots[:, None], axis=1)
+            start += len(roots)
     keep = np.abs(values.imag) < REAL_VALUE_TOL * (1.0 + np.abs(values))
+    labels = [source for source, roots in zip(sources, root_sets) for _ in range(len(roots))]
     return ForbiddenSet(
         values=tuple(values.real[keep].tolist()),
-        sources=tuple((*source, complex(lam)) for lam in lam_roots[keep]),
+        sources=tuple(
+            (*source, complex(x)) for source, x in zip(compress(labels, keep.tolist()), lam[keep])
+        ),
     )
+
+
+def _diagonal(a) -> tuple:
+    """The memo entry of diagonal a, made afresh unless the last one is for a's exact bits.
+
+    Not float equality: 0.0 == -0.0, but their forbidden values at a zero root differ in sign.
+    """
+    global _memo
+    key = np.array(a).tobytes()
+    if _memo is None or _memo[0] != key:
+        _memo = (key, np.array(a_poly_coeffs(a)), None)
+    return _memo
 
 
 def multiplicity_forbidden_set(params: RingParams) -> ForbiddenSet:
@@ -107,11 +170,16 @@ def multiplicity_forbidden_set(params: RingParams) -> ForbiddenSet:
 
     p' = A' does not involve the couplings, so its roots are fixed by a;
     the forbidden values are -A(lambda_i) at those roots. By Rolle every
-    root of A' is real; the real filter only drops np.roots rounding noise.
+    root of A' is real; the real filter only drops rounding noise. The set
+    is kept for the last diagonal and returned again for the same bits.
     """
+    global _memo
     require_valid(params)
-    A = np.array(a_poly_coeffs(params.a))
-    return _real_forbidden_values(np.roots(np.polyder(A)), params.a, ("p_prime_root",))
+    key, A, forbidden = _diagonal(params.a)
+    if forbidden is None:
+        forbidden = _real_forbidden_values(_roots([np.polyder(A)]), params.a, [("p_prime_root",)])
+        _memo = (key, A, forbidden)
+    return forbidden
 
 
 def _resonance_coeffs(A: np.ndarray, k: int) -> np.ndarray:
@@ -134,20 +202,22 @@ def resonance_poly(params: RingParams, k: int) -> np.ndarray:
     require_valid(params)
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k}")
-    return _resonance_coeffs(np.array(a_poly_coeffs(params.a)), k)
+    return _resonance_coeffs(_diagonal(params.a)[1], k)
 
 
 def resonance_forbidden_set(params: RingParams, k_max: int) -> ForbiddenSet:
-    """Union of forbidden coupling products over Q_k roots for 2 <= k <= k_max."""
+    """Union of forbidden coupling products over Q_k roots for 2 <= k <= k_max.
+
+    Every Q_k companion has size 2n - 1 unless a zero a_j strips a trailing
+    coefficient, so one eigvals call usually solves them all.
+    """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     require_valid(params)
-    A = np.array(a_poly_coeffs(params.a))
-    forbidden = ForbiddenSet(values=(), sources=())
-    for k in range(2, k_max + 1):
-        roots = np.roots(_resonance_coeffs(A, k))
-        forbidden |= _real_forbidden_values(roots, params.a, ("resonance_root", k))
-    return forbidden
+    A = _diagonal(params.a)[1]
+    ks = range(2, k_max + 1)
+    roots = _roots([_resonance_coeffs(A, k) for k in ks])
+    return _real_forbidden_values(roots, params.a, [("resonance_root", k) for k in ks])
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -52,6 +53,22 @@ def _require_finite(**entries) -> None:
         for j, v in enumerate(values):
             if not math.isfinite(v):
                 raise RingFormatError(f"{name}[{j}] is not finite: {v}")
+
+
+def _integer(name: str, v) -> int:
+    """v as an int; RingFormatError naming it unless v is an integral number, not a bool."""
+    if isinstance(v, bool) or not (
+        isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+    ):
+        raise RingFormatError(f"{name} is not an integer: {v!r}")
+    return int(v)
+
+
+def _number(name: str, v) -> float:
+    """v unchanged; RingFormatError naming it unless v is an int or a float, not a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise RingFormatError(f"{name} is not a number: {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -203,7 +220,10 @@ class AdjacencyMatrix(Record):
     convention: str = field(default=ADJACENCY_CONVENTION, init=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(
+            tuple(_integer(f"entry[{i}][{j}]", v) for j, v in enumerate(row))
+            for i, row in enumerate(self.rows)
+        )
         object.__setattr__(self, "rows", rows)
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise RingFormatError(f"adjacency matrix is not {self.n}x{self.n}")
@@ -240,23 +260,30 @@ def _get(doc: dict, key: str) -> object:
     return doc[key]
 
 
+def _numbers(key: str, values) -> tuple:
+    """The list `values` of field `key` as a tuple of numbers, each checked by `_number`."""
+    if not isinstance(values, list):
+        raise RingFormatError(f"{key} is not a list: {values!r}")
+    return tuple(_number(f"{key}[{j}]", v) for j, v in enumerate(values))
+
+
 def _ring_from(doc: dict) -> RingParams:
     return RingParams(
-        n=int(_get(doc, "n")),
-        a=tuple(_get(doc, "a")),
-        b=tuple(_get(doc, "b")),
+        n=_integer("n", _get(doc, "n")),
+        a=_numbers("a", _get(doc, "a")),
+        b=_numbers("b", _get(doc, "b")),
     )
 
 
 def _family_from(doc: dict) -> AdmissibleOdeFamily:
-    cubic = tuple(doc["cubic"]) if "cubic" in doc else None
-    lam = float(doc.get("lambda", 0.0))
+    cubic = _numbers("cubic", doc["cubic"]) if "cubic" in doc else None
+    lam = float(_number("lambda", doc.get("lambda", 0.0)))
     return AdmissibleOdeFamily(base=_ring_from(doc), cubic=cubic, lam=lam)
 
 
 def _adjacency_from(doc: dict) -> AdjacencyMatrix:
     return AdjacencyMatrix(
-        n=int(_get(doc, "n")),
+        n=_integer("n", _get(doc, "n")),
         rows=tuple(tuple(r) for r in _get(doc, "rows")),
     )
 

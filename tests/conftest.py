@@ -5,10 +5,11 @@ database, so every run draws the same examples and no example fails on a
 slow machine.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from ringhopf import spectra
+from ringhopf import genericity, spectra
 
 settings.register_profile("ringhopf", derandomize=True, deadline=None, database=None)
 settings.load_profile("ringhopf")
@@ -17,8 +18,10 @@ settings.load_profile("ringhopf")
 @pytest.fixture(autouse=True)
 def _fresh_spectrum_memo():
     """Each test solves its own rings: `eigenvalues` returns its last Spectrum for the same
-    ring object, which a test that patches spectra's internals must not get from another."""
+    ring object, which a test that patches spectra's internals must not get from another.
+    The forbidden sets likewise keep the data of their last diagonal."""
     spectra._memo = None
+    genericity._memo = None
 
 
 @pytest.fixture
@@ -34,3 +37,17 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(spectra, "_aberth_roots", counted)
     return lambda: count
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The shape of every array passed to `np.linalg.eigvals` so far in the test."""
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def recorded(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    return shapes

@@ -171,6 +171,15 @@ def test_spectrum_adjacency_with_resonances(capsys, tmp_path):
     assert any(f["k"] == 2 for f in doc["resonances"])
 
 
+def test_spectrum_rejects_a_fractional_adjacency_entry(capsys, tmp_path):
+    # truncated to 1, the entry 1.7 made this 3-cycle print the cube roots of 1
+    path = tmp_path / "adj.json"
+    path.write_text(json.dumps({"n": 3, "rows": [[0, 1.7, 0], [0, 0, 1], [1, 0, 0]]}))
+    code, out, err = run(capsys, ["spectrum", str(path), "--adjacency"])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {path}: entry[0][1] is not an integer: 1.7\n"
+
+
 def test_simulate_no_cycle_not_found(capsys, tmp_path):
     path = tmp_path / "family.json"
     save(AdmissibleOdeFamily(oracles.REFERENCE_RING), path)

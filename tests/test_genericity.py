@@ -9,6 +9,7 @@ import pytest
 import oracles
 from ringhopf import genericity
 from ringhopf.genericity import (
+    ForbiddenSet,
     PerturbationBudgetError,
     ResonanceFlag,
     detect_multiple,
@@ -20,7 +21,7 @@ from ringhopf.genericity import (
     resonance_poly,
 )
 from ringhopf.model import AdjacencyMatrix, RingParams
-from ringhopf.spectra import adjacency_spectrum, eigenvalues
+from ringhopf.spectra import a_poly_coeffs, adjacency_spectrum, eigenvalues
 
 
 def test_detect_double_eigenvalue():
@@ -442,3 +443,97 @@ def test_repair_epsilon_must_be_finite(epsilon):
         remove_multiple(oracles.REFERENCE_RING, epsilon)
     with pytest.raises(ValueError, match=message):
         remove_resonances(oracles.REFERENCE_RING, 2, epsilon)
+
+
+def diagonals(n, rng):
+    """A random diagonal, an integer one with a zero entry and one with repeated entries."""
+    integer = rng.integers(-3, 4, n).astype(float)
+    integer[rng.integers(n)] = 0.0
+    repeated = np.repeat(rng.uniform(-3, 3, (n + 1) // 2), 2)[:n]
+    return [rng.uniform(-3, 3, n), integer, repeated]
+
+
+def test_stacked_roots_equal_np_roots_bitwise():
+    # a zero a_j makes the constant terms of A and Q_k 0, which np.roots strips into
+    # zero roots, so the companions of one call differ in size
+    rng = np.random.default_rng(17)
+    stacks = []
+    for n in range(3, 41):
+        for a in diagonals(n, rng):
+            A = np.array(a_poly_coeffs(a))
+            stacks.append([genericity._resonance_coeffs(A, k) for k in range(2, 6)] + [np.polyder(A)])
+    # size-3 companions with roots +-i and with two real roots, then all zeros, a
+    # constant, and leading and trailing zeros around a linear factor
+    stacks.append(
+        [
+            np.array([1.0, 0.0, 1.0]),
+            np.array([1.0, -3.0, 2.0]),
+            np.zeros(3),
+            np.array([0.0, 5.0]),
+            np.array([0.0, 0.0, 2.0, -1.0, 0.0, 0.0]),
+        ]
+    )
+    for polys in stacks:
+        for got, p in zip(genericity._roots(polys), polys):
+            want = np.roots(p)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), p
+
+
+def per_k_forbidden_set(a, k_max):
+    """The resonance forbidden set from one np.roots call and one -A product per k."""
+    A = np.array(a_poly_coeffs(a))
+    values, sources = [], []
+    for k in range(2, k_max + 1):
+        lam = np.roots(genericity._resonance_coeffs(A, k))
+        v = -np.prod(np.asarray(a) - lam[:, None], axis=1)
+        keep = np.abs(v.imag) < genericity.REAL_VALUE_TOL * (1.0 + np.abs(v))
+        values += v.real[keep].tolist()
+        sources += [("resonance_root", k, complex(x)) for x in lam[keep]]
+    return ForbiddenSet(tuple(values), tuple(sources))
+
+
+def test_one_product_pass_equals_one_pass_per_k():
+    # small integer diagonals with signed zeros give Q_k whose roots np.roots returns
+    # real for some k and complex for others, and products that are exactly +-0
+    rng = np.random.default_rng(19)
+    kinds = set()
+    for _ in range(300):
+        n = int(rng.integers(3, 8))
+        a = tuple(rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, -3.0], n))
+        ring = RingParams(n, a, (1.0,) * n)
+        kinds.add(tuple(np.roots(resonance_poly(ring, k)).dtype.kind for k in range(2, 6)))
+        assert repr(resonance_forbidden_set(ring, 5)) == repr(per_k_forbidden_set(a, 5)), a
+    assert any(len(set(k)) == 2 for k in kinds)
+
+
+@pytest.mark.parametrize("kind", ["plain", "axis", "double"])
+def test_the_repair_pipeline_finds_each_diagonals_roots_once(kind, eigensolves):
+    # the rings of test_the_repair_pipeline_solves_each_ring_once; a repair keeps a
+    n, rng = 10, np.random.default_rng(7)
+    if kind == "plain":
+        ring = RingParams(n, tuple(rng.uniform(-3, 3, n)), tuple(rng.uniform(-3, 3, n)))
+    elif kind == "axis":
+        ring = oracles.construct_hopf_ring(n, rng)[0]
+    else:
+        ring = oracles.construct_grid_double_ring(n, rng)[0]
+    eigenvalues(ring)
+    multiple = remove_multiple(ring, epsilon=1e-3)
+    remove_resonances(multiple.perturbed, k_max=3, epsilon=1e-3)
+    assert (multiple.perturbed is ring) == (kind != "double")
+    # A' once (companion n - 1), then Q_2 and Q_3 in one call (companions 2n - 1)
+    assert eigensolves == [(1, n - 1, n - 1), (2, 2 * n - 1, 2 * n - 1)]
+
+
+def test_diagonals_differing_in_the_sign_of_a_zero_are_computed_apart(eigensolves):
+    plus = RingParams(3, (0.0, 1.0, 2.0), (1.0, 1.0, 1.0))
+    minus = RingParams(3, (-0.0, 1.0, 2.0), (1.0, 1.0, 1.0))
+    assert plus == minus
+    first = resonance_forbidden_set(plus, 2)
+    # -A at the zero root of Q_2 is -0.0 for one diagonal and 0.0 for the other
+    assert repr(resonance_forbidden_set(minus, 2)) != repr(first)
+    assert repr(resonance_forbidden_set(RingParams(3, plus.a, minus.b), 2)) == repr(first)
+    assert len(eigensolves) == 3
+    multiplicity_forbidden_set(plus)
+    multiplicity_forbidden_set(minus)
+    assert multiplicity_forbidden_set(RingParams(3, minus.a, plus.b)) is multiplicity_forbidden_set(minus)
+    assert len(eigensolves) == 5

@@ -36,3 +36,16 @@ def test_layer_timings_solve_on_every_call(solves):
     layers.main(["--sizes", "3", "--repeat", "2"])
     # per pass: both eigenvalues sweeps and remove_multiple, none of whose rings is repaired
     assert solves() == 2 * 3 * layers.RINGS
+
+
+def test_forbidden_set_rows_compute_on_every_call(eigensolves):
+    # consecutive calls never share a diagonal either, so the forbidden sets' memo of
+    # the last one never answers for them
+    spec = importlib.util.spec_from_file_location("layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    layers.main(["--sizes", "3", "--repeat", "2"])
+    # each row runs both its passes: A' in the multiplicity row, Q_2 and Q_3 in one call
+    # in the resonance row, and A' again in remove_multiple
+    calls = 2 * layers.RINGS
+    assert eigensolves == [(1, 2, 2)] * calls + [(2, 5, 5)] * calls + [(1, 2, 2)] * calls

@@ -219,3 +219,41 @@ def test_load_mismatched_lengths(tmp_path):
     path.write_text(json.dumps({"n": 3, "a": [1, 2, 3], "b": [1, 2]}))
     with pytest.raises(RingFormatError):
         load_ring(path)
+
+
+CYCLE_ROWS = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+RING_DOC = {"n": 3, "a": [1, -2, -3], "b": [1, 1, -10]}
+
+
+@pytest.mark.parametrize(
+    "load, doc, message",
+    [
+        (load_adjacency, {"n": 3, "rows": [[0, 1.7, 0], *CYCLE_ROWS[1:]]}, r"entry\[0\]\[1\] is not an integer: 1\.7"),
+        (load_adjacency, {"n": 3, "rows": [[0, True, 0], *CYCLE_ROWS[1:]]}, r"entry\[0\]\[1\] is not an integer: True"),
+        (load_adjacency, {"n": 3.9, "rows": CYCLE_ROWS}, r"n is not an integer: 3\.9"),
+        (load_ring, {**RING_DOC, "n": 3.9}, r"n is not an integer: 3\.9"),
+        (load_ring, {**RING_DOC, "n": True}, "n is not an integer: True"),
+        (load_ring, {**RING_DOC, "a": [1, True, -3]}, r"a\[1\] is not a number: True"),
+        (load_ring, {**RING_DOC, "b": [1, 1, "-10"]}, r"b\[2\] is not a number: '-10'"),
+        (load_family, {**RING_DOC, "cubic": [-1, -1, True]}, r"cubic\[2\] is not a number: True"),
+        (load_family, {**RING_DOC, "lambda": False}, "lambda is not a number: False"),
+    ],
+)
+def test_loaders_reject_fractional_integers_and_booleans(tmp_path, load, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(RingFormatError, match=rf"doc\.json: {message}$"):
+        load(path)
+
+
+def test_integral_floats_load_as_integers(tmp_path):
+    path = tmp_path / "adj.json"
+    path.write_text(json.dumps({"n": 3.0, "rows": [[0, 2.0, 0], *CYCLE_ROWS[1:]]}))
+    adj = load_adjacency(path)
+    assert adj.n == 3 and adj.rows[0] == (0, 2, 0)
+    assert all(type(v) is int for row in adj.rows for v in row)
+
+
+def test_adjacency_rejects_a_fractional_entry():
+    with pytest.raises(RingFormatError, match=r"entry\[1\]\[0\] is not an integer: 0\.5"):
+        AdjacencyMatrix(2, ((0, 1), (0.5, 0)))
