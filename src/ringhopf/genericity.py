@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable
 
-import numpy as np
-
 from .model import Record, RingParams, require_valid
 from .spectra import AXIS_TOL, Spectrum, a_poly_coeffs, axis_pairs, eigenvalues
 
@@ -106,6 +104,7 @@ def _roots(polys) -> list[np.ndarray]:
     As in np.roots, leading and trailing zero coefficients are stripped, each trailing
     zero adds a zero root, and roots whose imaginary parts are all 0 come back real.
     """
+    import numpy as np
     out = [np.array([]) for _ in polys]
     by_size: dict[int, list[tuple[int, np.ndarray, int]]] = {}
     for i, p in enumerate(polys):
@@ -133,6 +132,7 @@ def _real_forbidden_values(root_sets, a, sources) -> ForbiddenSet:
 
     One product pass covers every set.
     """
+    import numpy as np
     lam = np.concatenate(root_sets)
     values = -np.prod(np.asarray(a) - lam[:, None], axis=1)
     if lam.dtype.kind == "c":
@@ -159,6 +159,7 @@ def _diagonal(a) -> tuple:
     Not float equality: 0.0 == -0.0, but their forbidden values at a zero root differ in sign.
     """
     global _memo
+    import numpy as np
     key = np.array(a).tobytes()
     if _memo is None or _memo[0] != key:
         _memo = (key, np.array(a_poly_coeffs(a)), None)
@@ -174,6 +175,7 @@ def multiplicity_forbidden_set(params: RingParams) -> ForbiddenSet:
     is kept for the last diagonal and returned again for the same bits.
     """
     global _memo
+    import numpy as np
     require_valid(params)
     key, A, forbidden = _diagonal(params.a)
     if forbidden is None:
@@ -183,6 +185,7 @@ def multiplicity_forbidden_set(params: RingParams) -> ForbiddenSet:
 
 
 def _resonance_coeffs(A: np.ndarray, k: int) -> np.ndarray:
+    import numpy as np
     # lambda -> k lambda scales coefficient i by k^(degree - i); both
     # products have length 2n, so Q_k has degree 2n-1
     powers = np.array([float(k) ** e for e in range(len(A) - 1, -1, -1)])

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .model import AdmissibleOdeFamily, Record, RingParams
 from .spectra import AXIS_TOL, Spectrum, axis_pairs, eigenvalues
 
@@ -87,7 +85,15 @@ def solve_coupling_for_hopf(a: tuple[float, float, float], b1: float, b2: float)
     if b1 == 0 or b2 == 0:
         raise ValueError("b1 and b2 must be nonzero to solve for b3")
     a1, a2, a3 = a
-    return (a1 + a2) * (a1 + a3) * (a2 + a3) / (b1 * b2)
+    lhs, product = (a1 + a2) * (a1 + a3) * (a2 + a3), b1 * b2
+    formula = "b3 = (a1+a2)(a1+a3)(a2+a3) / (b1*b2)"
+    if not 0 < abs(product) < math.inf:
+        reason = "underflows to zero" if product == 0 else "is not finite"
+        raise ValueError(f"b1*b2 = {b1!r} * {b2!r} = {product!r} {reason}, and {formula} divides by it")
+    b3 = lhs / product
+    if not math.isfinite(b3):
+        raise ValueError(f"{formula} = {lhs!r} / {product!r} = {b3!r} is not finite")
+    return b3
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,7 @@ def crossing_check(
     `family` may be an AdmissibleOdeFamily (J + lambda*I action) or any
     callable lambda -> Jacobian matrix for other parameter actions.
     """
+    import numpy as np
     if not (math.isfinite(lambda0) and 0 < h < math.inf):
         raise ValueError(f"lambda0 and h must be finite and h positive, got lambda0={lambda0}, h={h}")
     jac = family.jacobian if isinstance(family, AdmissibleOdeFamily) else family

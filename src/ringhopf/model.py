@@ -18,8 +18,6 @@ import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 MIN_NODES = 3
 
 ADJACENCY_CONVENTION = "entry[i][j] counts arrows from node j+1 to node i+1"
@@ -90,6 +88,7 @@ class RingParams(Record):
         _require_finite(a=self.a, b=self.b)
 
     def jacobian(self) -> np.ndarray:
+        import numpy as np
         J = np.diag(np.asarray(self.a, dtype=float))
         for j in range(self.n):
             J[j, (j + 1) % self.n] = self.b[j]
@@ -132,10 +131,9 @@ def validate(params: RingParams) -> ValidationReport:
 
 
 def require_valid(params: RingParams) -> None:
-    """Raise if params fails the hard validity checks (n >= 3)."""
-    report = validate(params)
-    if not report.n_ok:
-        raise RingFormatError("; ".join(report.messages))
+    """Raise if params fails the hard validity checks (n >= 3); the report only words the error."""
+    if params.n < MIN_NODES:
+        raise RingFormatError("; ".join(validate(params).messages))
 
 
 def cyclic_relabel(params: RingParams, shift: int) -> RingParams:
@@ -187,11 +185,13 @@ class AdmissibleOdeFamily:
             raise RingFormatError(f"lam is not finite: {self.lam}")
 
     def jacobian(self, lam: float | None = None) -> np.ndarray:
+        import numpy as np
         if lam is None:
             lam = self.lam
         return self.base.jacobian() + lam * np.eye(self.base.n)
 
     def vector_field(self, x: np.ndarray, lam: float | None = None) -> np.ndarray:
+        import numpy as np
         if lam is None:
             lam = self.lam
         a = np.asarray(self.base.a)
@@ -233,6 +233,7 @@ class AdjacencyMatrix(Record):
                     raise RingFormatError(f"entry[{i}][{j}] is negative: {v}")
 
     def matrix(self) -> np.ndarray:
+        import numpy as np
         return np.asarray(self.rows, dtype=float)
 
 

@@ -24,8 +24,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import AdmissibleOdeFamily, Record
 from .phases import PhaseProfile
 from .spectra import eigenvalues, eigenvector_for
@@ -135,6 +133,7 @@ def _step_count(t_end: float, h: float, lam: float) -> int:
 
 def _rk4(family: AdmissibleOdeFamily, x: np.ndarray, lam: float, h: float, skip: int, rows: int):
     """`rows` states one RK4 step apart, the first after `skip` unstored steps from x."""
+    import numpy as np
     out = np.empty((rows, len(x)))
     failed = _rk4_kernel(len(x))(
         memoryview(out.reshape(-1)), skip, out.size, float(h), DIVERGENCE_NORM,
@@ -153,6 +152,7 @@ def integrate(
     lam: float | None = None,
 ) -> Trajectory:
     """Classical RK4 with fixed step h from t=0 to (approximately) t_end."""
+    import numpy as np
     if lam is None:
         lam = family.lam
     n_steps = _step_count(t_end, h, lam)
@@ -176,6 +176,7 @@ class CycleMeasurement(Record):
 
 def _upward_crossings(times: np.ndarray, signal: np.ndarray) -> np.ndarray:
     """Linear-interpolated times where the signal crosses zero upward."""
+    import numpy as np
     s0, s1 = signal[:-1], signal[1:]
     mask = (s0 < 0) & (s1 >= 0)
     i = np.nonzero(mask)[0]
@@ -198,6 +199,7 @@ def measure_cycle(traj: Trajectory, period_tol: float = PERIOD_TOL) -> CycleMeas
     Fourier window is the largest whole number of measured periods that
     fits on the grid.
     """
+    import numpy as np
     dev, crossings = _node1_crossings(traj.times, traj.states)
     amplitude = np.abs(dev).max()
     if amplitude < AMPLITUDE_FLOOR:
@@ -244,14 +246,14 @@ def measure_cycle(traj: Trajectory, period_tol: float = PERIOD_TOL) -> CycleMeas
     )
 
 
-def _critical_eigenvector(family: AdmissibleOdeFamily) -> tuple[np.ndarray, float]:
+def _critical_eigenvector(family: AdmissibleOdeFamily) -> tuple[tuple[complex, ...], float]:
     spectrum = eigenvalues(family.base)
     if spectrum.omega is None:
         raise NoCycleError(
             "the base ring has no imaginary eigenvalue pair; cannot seed a cycle hunt"
         )
     u = eigenvector_for(family.base, 1j * spectrum.omega)
-    return np.array(u.entries), spectrum.omega
+    return u.entries, spectrum.omega
 
 
 def find_limit_cycle(
@@ -272,6 +274,7 @@ def find_limit_cycle(
     fewer than MEASURE_CYCLES + 1 upward crossings of node 1 it goes on in
     whole linear periods, at most MAX_EXTRA_PERIODS of them.
     """
+    import numpy as np
     if lam == 0:
         raise NoCycleError(
             f"no cycle: lambda={lam} is the Hopf point, where no cycle branches off "
@@ -283,7 +286,7 @@ def find_limit_cycle(
         h = period_pred / DEFAULT_STEPS_PER_PERIOD
     if settle_time is None:
         settle_time = max(40 * period_pred, 4.0 / max(abs(lam), 1e-6))
-    x0 = 0.1 * math.sqrt(abs(lam)) * u.real
+    x0 = 0.1 * math.sqrt(abs(lam)) * np.array(u).real
     measure_time = (MEASURE_CYCLES + 2) * period_pred
     skip = max(_step_count(settle_time + measure_time, h, lam) - int(round(measure_time / h)), 0)
     states = _rk4(family, x0, lam, h, skip, 1)  # a settle_time below 0 settles for none

@@ -17,7 +17,9 @@ it is real only when its real part also passes that gate. An eigenvector
 is accepted at eigenpair backward error <= 1e-9, so `eigenvector_for`
 works at any scale of the ring. From VECTOR_SWEEP_MIN_N roots on, a sweep
 moves all roots at once in numpy; both sweeps pass one backward-error gate.
-A repeat `eigenvalues` call on the same ring object returns the same Spectrum.
+numpy is imported only where an array is built, so a smaller ring is solved
+without loading it. A repeat `eigenvalues` call on the same ring object
+returns the same Spectrum.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import AdjacencyMatrix, Record, RingParams, require_valid
 
@@ -170,6 +170,7 @@ def _eval_points(a, c: float, z):
     one (n x len(z)) product, and by _eval_at where a factor a_j - z is 0 or a value overflows."""
     if len(a) < VECTOR_SWEEP_MIN_N:
         return zip(*[_eval_at(a, c, m) for m in z])
+    import numpy as np
     av = np.array(a)
     d = av[:, None] - z
     with np.errstate(all="ignore"):
@@ -188,6 +189,7 @@ def _eval_points(a, c: float, z):
 
 def _vector_sweep(a, c: float, z, eta, active, start):
     """One Jacobi sweep: every moving root steps at once, over (n x moving) arrays."""
+    import numpy as np
     p, dp, eta[active] = _eval_points(a, c, z[active])
     keep = ~(eta[active] <= FREEZE_TOL)
     moving, p, dp, zk = active[keep], p[keep], dp[keep], z[active[keep]]
@@ -209,6 +211,8 @@ def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
     n = len(a)
     radius = abs(c) ** (1.0 / n)
     vector = n >= VECTOR_SWEEP_MIN_N
+    if vector:
+        import numpy as np
     wrap = np.array if vector else list
     sweeps = 0
     for turn in (0.25, 0.75):
@@ -411,6 +415,7 @@ def _solve(params: RingParams, residual_tol: float, axis_tol: float) -> Spectrum
 def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
     """Eigenvector from u_{j+1} = (mu - a_j)/b_j * u_j, scaled to u_1 = 1, run once round
     from after the least accurate factor, so its error enters only the gated closure row."""
+    import numpy as np
     require_valid(params)
     n, a, b = params.n, params.a, params.b
     zero = [j for j, v in enumerate(b) if v == 0.0]
@@ -457,6 +462,7 @@ def _faddeev_leverrier(A: np.ndarray) -> np.ndarray:
     back to the nearest integer to cancel float round-off, which keeps
     multiple zero eigenvalues exact even when the matrix is defective.
     """
+    import numpy as np
     n = A.shape[0]
     coeffs = np.zeros(n + 1)
     coeffs[0] = 1.0
@@ -476,6 +482,7 @@ def adjacency_spectrum(adj: AdjacencyMatrix) -> Spectrum:
     the dense QR eigensolver: defective multiple zeros (as in transitive
     networks with nilpotent blocks) come out exact instead of O(sqrt(eps)).
     """
+    import numpy as np
     A = adj.matrix()
     coeffs = _faddeev_leverrier(A)
     # np.roots strips the trailing zero coefficients and returns exact zero roots for them

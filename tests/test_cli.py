@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import oracles
 import ringhopf
-from ringhopf import simulate
+from ringhopf import simulate, spectra
 from ringhopf.cli import EXIT_ERROR, EXIT_FOUND, EXIT_NOT_FOUND, main
 from ringhopf.model import AdjacencyMatrix, AdmissibleOdeFamily, RingParams, save
 
@@ -262,6 +263,56 @@ def test_runtime_imports_no_test_only_package():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+# children import this checkout's ringhopf
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ringhopf.__file__))}
+# runs one subcommand in a fresh interpreter and reports, last on stderr, whether numpy loaded
+NUMPY_PROBE = (
+    "import sys\n"
+    "from ringhopf.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_pure_python_paths_start_without_numpy(capsys, tmp_path, reference_ring_file):
+    # below the vector-sweep crossover every spectrum, Hopf report, phase profile and
+    # table is scalar arithmetic, so these children must not pay for numpy's import
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, ringhopf, ringhopf.cli; print('numpy' in sys.modules)"],
+        env=CHILD_ENV, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"
+    ring, _ = oracles.construct_hopf_ring(spectra.VECTOR_SWEEP_MIN_N - 1, np.random.default_rng(5))
+    below_crossover = str(tmp_path / "ring.json")
+    save(ring, below_crossover)
+    for argv in (
+        ["analyze", reference_ring_file],
+        ["analyze", below_crossover],
+        ["phases", below_crossover],
+        ["tables", "--format", "csv", "--discrepancies"],
+        ["spectrum", below_crossover, "--kmax", "3"],
+    ):
+        # bytes, decoded without newline translation: the CSV writer ends rows in \r\n
+        child = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=CHILD_ENV, capture_output=True)
+        assert (child.returncode, child.stderr.decode().splitlines()[-1]) == (EXIT_FOUND, "False"), argv
+        assert child.stdout.decode() == run(capsys, argv)[1], argv
+
+
+def test_analyze_exact_b3_underflow_is_one_error_line(tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text('{"n": 3, "a": [1, -2, -3], "b": [1e-200, 1e-200, -10]}')
+    done = subprocess.run(
+        [sys.executable, "-m", "ringhopf.cli", "analyze", "--exact-b3", str(path)],
+        env=CHILD_ENV, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout) == (EXIT_ERROR, "")
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+    assert errors == ["error: b1*b2 = 1e-200 * 1e-200 = 0.0 underflows to zero, and "
+                      "b3 = (a1+a2)(a1+a3)(a2+a3) / (b1*b2) divides by it"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -78,6 +78,20 @@ def test_solve_coupling_rejects_zero():
         solve_coupling_for_hopf((1.0, 2.0, 3.0), 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "b1, b2, message",
+    [
+        (1e-200, 1e-200, r"b1\*b2 = 1e-200 \* 1e-200 = 0.0 underflows to zero"),
+        (1e200, 1e200, r"b1\*b2 = 1e\+200 \* 1e\+200 = inf is not finite"),
+        (1e-160, 1e-160, r"= -10.0 / 1e-320 = -inf is not finite"),
+    ],
+)
+def test_solve_coupling_names_an_unusable_product(b1, b2, message):
+    # b1 and b2 are nonzero, but their product underflows, overflows or makes b3 overflow
+    with pytest.raises(ValueError, match=message):
+        solve_coupling_for_hopf((1.0, -2.0, -3.0), b1, b2)
+
+
 def test_closed_form_agrees_with_spectral_route():
     rng = np.random.default_rng(1)
     for _ in range(500):

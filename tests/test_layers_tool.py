@@ -49,3 +49,27 @@ def test_forbidden_set_rows_compute_on_every_call(eigensolves):
     # in the resonance row, and A' again in remove_multiple
     calls = 2 * layers.RINGS
     assert eigensolves == [(1, 2, 2)] * calls + [(2, 5, 5)] * calls + [(1, 2, 2)] * calls
+
+
+def test_cli_rows_time_every_subcommand_as_a_child():
+    spec = importlib.util.spec_from_file_location("layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    cpus = os.sched_getaffinity(0)
+    rows = layers.main(["--sizes", "3", "--repeat", "1", "--cli", "1"])
+    assert os.sched_getaffinity(0) == cpus
+    assert len(rows) == 6 + 9  # the default rows come first, unchanged
+    cli_rows = rows[6:]
+    assert [name for name, *_ in cli_rows] == [
+        "python -c pass",
+        "python -c 'import numpy'",
+        "cli analyze",
+        "cli tables",
+        "cli phases",
+        "cli perturb",
+        "cli spectrum",
+        "cli spectrum --adjacency",
+        "cli simulate",
+    ]
+    # every child exits 0, so each row times a full run
+    assert all(0 < us < 60e6 and failed == 0 for _, _, us, failed in cli_rows)

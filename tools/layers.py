@@ -1,13 +1,17 @@
 """Per-layer timings of ringhopf, best of k, pinned to one CPU.
 
-    PYTHONPATH=src python tools/layers.py [--sizes 3 10 20 40 64] [--repeat 3]
+    PYTHONPATH=src python tools/layers.py [--sizes 3 10 20 40 64] [--repeat 3] [--cli K]
 
 For each ring size, the same RINGS random rings (a_j, b_j ~ U(-3, 3), fixed
 seed) go through `eigenvalues` on each Aberth sweep, the two forbidden
 sets (k <= 3) and `remove_multiple`; one RK4 step is timed on a 3-node
 family. Each figure is the best of --repeat passes of the mean time per
 call, in microseconds; a layer that raised on some rings says on how many.
-The process runs on one CPU while it measures and gets its CPUs back after.
+With --cli K, each subcommand also runs K times as a child process on a
+small input, beside a bare interpreter and a bare `import numpy`; each row
+is the median wall time, the children take turns, and a row says how many
+runs exited nonzero. The process, and so every child, runs on one CPU
+while it measures and gets its CPUs back after.
 """
 
 from __future__ import annotations
@@ -16,12 +20,18 @@ import argparse
 import contextlib
 import math
 import os
+import statistics
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
+import ringhopf
 from ringhopf import genericity, simulate, spectra
-from ringhopf.model import AdmissibleOdeFamily, RingParams
+from ringhopf.model import AdjacencyMatrix, AdmissibleOdeFamily, RingParams, save
 
 SEED = 0
 RINGS = 30
@@ -89,20 +99,69 @@ def measure(sizes, repeat: int) -> list[tuple[str, int, float, int]]:
     return [(name, n, seconds * 1e6, failed) for name, n, seconds, failed in rows]
 
 
+def cli_children(folder: Path) -> list[tuple[str, int, list[str]]]:
+    """(row, ring size or 0, interpreter arguments) of each child, its inputs saved in folder."""
+    inputs = {
+        "ring3": RK4_FAMILY.base,
+        "double4": RingParams(4, (0.0, 0.0, 1.0, 1.0), (0.5,) * 4),  # double root at 1/2
+        "ring6": RingParams(6, (-1.0, -2.0, -3.0, -0.5, -1.5, -2.5), (1.0, -1.0, 2.0, 1.0, 1.5, -0.5)),
+        "adjacency": AdjacencyMatrix(6, [[int(j == (i + 1) % 6) for j in range(6)] for i in range(6)]),
+        "family": RK4_FAMILY,
+    }
+    for name, doc in inputs.items():
+        save(doc, folder / f"{name}.json")
+    f = {name: str(folder / f"{name}.json") for name in inputs}
+    cli = ["-m", "ringhopf.cli"]
+    return [
+        ("python -c pass", 0, ["-c", "pass"]),
+        ("python -c 'import numpy'", 0, ["-c", "import numpy"]),
+        ("cli analyze", 3, [*cli, "analyze", f["ring3"]]),
+        ("cli tables", 3, [*cli, "tables", "--format", "csv", "--discrepancies"]),
+        ("cli phases", 3, [*cli, "phases", f["ring3"]]),
+        ("cli perturb", 4, [*cli, "perturb", f["double4"]]),
+        ("cli spectrum", 6, [*cli, "spectrum", f["ring6"]]),
+        ("cli spectrum --adjacency", 6, [*cli, "spectrum", f["adjacency"], "--adjacency", "--kmax", "5"]),
+        ("cli simulate", 3, [*cli, "simulate", f["family"], "--lambda", "0.1", "--settle", "150",
+                             "--step", "0.05"]),
+    ]
+
+
+def measure_cli(k: int) -> list[tuple[str, int, float, int]]:
+    """(row, ring size, median microseconds of k runs, runs that exited nonzero) per child."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ringhopf.__file__).resolve().parent.parent)}
+    with tempfile.TemporaryDirectory() as folder:
+        children = cli_children(Path(folder))
+        seconds, failed = [[] for _ in children], [0] * len(children)
+        for _ in range(k):  # each round runs every child once, so drift hits every row alike
+            for i, (_, _, args) in enumerate(children):
+                t0 = time.perf_counter()
+                done = subprocess.run([sys.executable, *args], env=env, cwd=folder, capture_output=True)
+                seconds[i].append(time.perf_counter() - t0)
+                failed[i] += done.returncode != 0
+    return [
+        (name, n, statistics.median(s) * 1e6, fails)
+        for (name, n, _), s, fails in zip(children, seconds, failed)
+    ]
+
+
 def main(argv=None) -> list[tuple[str, int, float, int]]:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[3, 10, 20, 40, 64])
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--cli", type=int, default=0, metavar="K", help="also time the CLI, median of K runs")
     args = parser.parse_args(argv)
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     try:
         rows = measure(args.sizes, args.repeat)
+        if args.cli:
+            rows += measure_cli(args.cli)
     finally:
         os.sched_setaffinity(0, cpus)
     for name, n, us, failed in rows:
         note = f"  ({failed} calls raised)" if failed else ""
-        print(f"{name:34s} n = {n:3d}  {us:12.2f} us{note}")
+        size = f"n = {n:3d}" if n else " " * 7
+        print(f"{name:34s} {size}  {us:12.2f} us{note}")
     return rows
 
 
