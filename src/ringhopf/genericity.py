@@ -7,14 +7,16 @@ to one of finitely many values that depend only on the diagonal entries:
   * a k:1 resonance forces c = -A(lambda_i) at a root of the auxiliary
     polynomial Q_k, which is likewise independent of the couplings.
 
-c is real, so only real values of -A are kept. By Rolle every root of A'
-is real, so for A' that filter only drops rounding noise.
+The roots of p' = A' are exact: each repeated a_j, and the critical point
+of A in each gap between neighbouring distinct a_j, found in product form
+without dense coefficients. c is real, so of the Q_k roots only those where
+-A is real are kept.
 
-Since neither set involves the couplings, each is found once per diagonal:
-the dense A and the multiplicity set of the last diagonal are kept, keyed on
-the exact bits of a, and the roots of Q_2 ... Q_kmax come from one eigvals
-call on their stacked companion matrices, equal bit for bit to np.roots of
-each. -A is then evaluated in product form at all of them in one pass.
+The multiplicity set of the last diagonal is kept, keyed on the exact bits
+of a, since both removals ask for it. The roots of Q_2 ... Q_kmax come from
+one eigvals call on their stacked companion matrices, equal bit for bit to
+np.roots of each, and -A is evaluated in product form at all of them in
+one pass.
 
 So a single adjustment of b_1, after replacing any zero couplings, steers c
 into the largest forbidden-value-free subinterval reachable within the
@@ -24,17 +26,18 @@ perturbation budget.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable
 
 from .model import Record, RingParams, require_valid
-from .spectra import AXIS_TOL, Spectrum, a_poly_coeffs, axis_pairs, eigenvalues
+from .spectra import AXIS_TOL, Spectrum, _critical_point, a_poly_coeffs, axis_pairs, eigenvalues
 
 GAP_TOL_FACTOR = 1e-7
 REAL_VALUE_TOL = 1e-9
 
-_memo = None  # (a's bytes, A's dense coefficients, multiplicity ForbiddenSet or None), swapped whole
+_memo = None  # (a's bytes, its multiplicity ForbiddenSet), swapped whole
 
 
 class PerturbationBudgetError(RuntimeError):
@@ -153,39 +156,26 @@ def _real_forbidden_values(root_sets, a, sources) -> ForbiddenSet:
     )
 
 
-def _diagonal(a) -> tuple:
-    """The memo entry of diagonal a, made afresh unless the last one is for a's exact bits.
-
-    Not float equality: 0.0 == -0.0, but their forbidden values at a zero root differ in sign.
-    """
-    global _memo
-    import numpy as np
-    key = np.array(a).tobytes()
-    if _memo is None or _memo[0] != key:
-        _memo = (key, np.array(a_poly_coeffs(a)), None)
-    return _memo
-
-
 def multiplicity_forbidden_set(params: RingParams) -> ForbiddenSet:
-    """Coupling products c at which p = A + c has a multiple root.
-
-    p' = A' does not involve the couplings, so its roots are fixed by a;
-    the forbidden values are -A(lambda_i) at those roots. By Rolle every
-    root of A' is real; the real filter only drops rounding noise. The set
-    is kept for the last diagonal and returned again for the same bits.
-    """
+    """Coupling products c at which p = A + c has a multiple root: -A, in product form, at
+    the n - 1 roots of p' = A' in increasing order, which are m - 1 copies of each a_j repeated
+    m times and the critical point of A in each gap between neighbouring distinct a_j. The set is
+    kept for the last diagonal and returned again for the same bits of a (0.0 == -0.0, but -A
+    differs in sign there)."""
     global _memo
-    import numpy as np
     require_valid(params)
-    key, A, forbidden = _diagonal(params.a)
-    if forbidden is None:
-        forbidden = _real_forbidden_values(_roots([np.polyder(A)]), params.a, [("p_prime_root",)])
-        _memo = (key, A, forbidden)
-    return forbidden
+    key = struct.pack(f"{params.n}d", *params.a)
+    if _memo is None or _memo[0] != key:
+        a, s = params.a, sorted(params.a)
+        roots = [s[k] if s[k] == s[k + 1] else _critical_point(s, k) for k in range(len(s) - 1)]
+        values = tuple(-math.prod([v - x for v in a]) for x in roots)
+        _memo = (key, ForbiddenSet(values, tuple(("p_prime_root", complex(x)) for x in roots)))
+    return _memo[1]
 
 
-def _resonance_coeffs(A: np.ndarray, k: int) -> np.ndarray:
+def _resonance_coeffs(A, k: int) -> np.ndarray:
     import numpy as np
+    A = np.asarray(A)
     # lambda -> k lambda scales coefficient i by k^(degree - i); both
     # products have length 2n, so Q_k has degree 2n-1
     powers = np.array([float(k) ** e for e in range(len(A) - 1, -1, -1)])
@@ -205,7 +195,7 @@ def resonance_poly(params: RingParams, k: int) -> np.ndarray:
     require_valid(params)
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k}")
-    return _resonance_coeffs(_diagonal(params.a)[1], k)
+    return _resonance_coeffs(a_poly_coeffs(params.a), k)
 
 
 def resonance_forbidden_set(params: RingParams, k_max: int) -> ForbiddenSet:
@@ -217,7 +207,7 @@ def resonance_forbidden_set(params: RingParams, k_max: int) -> ForbiddenSet:
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     require_valid(params)
-    A = _diagonal(params.a)[1]
+    A = a_poly_coeffs(params.a)
     ks = range(2, k_max + 1)
     roots = _roots([_resonance_coeffs(A, k) for k in ks])
     return _real_forbidden_values(roots, params.a, [("resonance_root", k) for k in ks])

@@ -10,9 +10,16 @@ loop (Bini & Fiorentino, Numer. Algorithms 23, 2000), scale-free and with
 no dense coefficient. Aberth-Ehrlich iteration starts root k at
 a_k + |c|^(1/n) e^(2 pi i (k + 1/4)/n), inside the disks about the a_j
 that hold every root, and stops each root at the rounding floor of its
-backward error. Clusters are snapped onto the derivative root, conjugate
-pairs symmetrised, and the power sums sum z = sum a_j, sum z^2 = sum a_j^2
-checked. A root is accepted at componentwise backward error <= 1e-10, and
+backward error. The power sums sum z = sum a_j, sum z^2 = sum a_j^2 are
+checked, close roots polished, and conjugate pairs symmetrised. A multiple
+root needs p' = A' = 0: at a repeated a_j, where p = c, or at the one
+simple root xi of A' in a gap between neighbouring distinct a_j, where
+A'' != 0. So with c = 0 the roots are the a_j, on which the iteration
+starts and stays, and nothing is snapped; with c != 0 every multiple root
+is a real double root at some xi, and a pair of roots within 1e-6 of the
+spectral radius is snapped onto the xi of its gap when xi lies that near
+and passes the gate. Any other group keeps its own roots, each gated.
+A root is accepted at componentwise backward error <= 1e-10, and
 it is real only when its real part also passes that gate. An eigenvector
 is accepted at eigenpair backward error <= 1e-9, so `eigenvector_for`
 works at any scale of the ring. From VECTOR_SWEEP_MIN_N roots on, a sweep
@@ -24,9 +31,11 @@ returns the same Spectrum.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from .model import AdjacencyMatrix, Record, RingParams, require_valid
 
@@ -297,58 +306,57 @@ def _symmetrise_conjugates(roots, real_ok=lambda x: True) -> list[complex]:
     return out
 
 
-def _taylor(a, z: complex, m: int) -> list[complex]:
-    """Taylor coefficients t_0..t_m of prod(a_j - z - t) in t: p^(k)(z) = k! t_k, k >= 1."""
-    t = [1.0 + 0.0j] + [0.0j] * m
-    for v in a:
-        d = v - z
-        for i in range(m, 0, -1):
-            t[i] = t[i] * d - t[i - 1]
-        t[0] *= d
-    return t
+def _critical_point(s, k: int) -> float:
+    """The root xi of A' in the gap s[k] < s[k + 1] of the sorted a_j, exact to rounding.
+
+    Newton on A' in product form: g = A'/A = sum 1/(z - a_j) falls from +inf to -inf across the
+    gap, and the step is g/(g^2 + g'). A step out of the bracket, narrowed by the sign of g,
+    bisects it. The last step is one taken where g is within rounding of 0, or of at most 4 ulps."""
+    lo, hi = s[k], s[k + 1]
+    tol = 4 * math.ulp(max(abs(lo), abs(hi)))
+    rounding = len(s) ** 3 * 2.0**-104  # g errs by about n eps sum |t| <= n eps (n h)^(1/2)
+    z = 0.5 * (lo + hi)
+    while hi - lo > tol:
+        g = h = 0.0  # h = -g'
+        for v in s:
+            t = 1.0 / (z - v)
+            g += t
+            h += t * t
+        den = g * g - h
+        step = g / den if den else math.inf
+        if abs(step) <= tol or g * g <= rounding * h:
+            return z - step
+        lo, hi = (z, hi) if g > 0 else (lo, z)
+        z = z - step if lo < z - step < hi else 0.5 * (lo + hi)
+    return z
 
 
 def _polish_clusters(roots, a, c: float, threshold: float) -> list[complex]:
-    """Snap near-coincident roots onto the nearby root of p^(m-1).
-
-    Simultaneous iteration resolves an m-fold root only to O(eps^(1/m));
-    groups closer than 1e-6 of the spectral radius are replaced by the
-    Newton-refined root of p^(m-1) when its backward error confirms it, and
-    otherwise keep their own roots.
-    """
-    roots = list(roots)
-    tol = 1e-6 * max(abs(m) for m in roots)
-    out = []
-    used = [False] * len(roots)
-    for i, mu in enumerate(roots):
-        if used[i]:
-            continue
-        group = [i]
-        for j in range(i + 1, len(roots)):
-            if not used[j] and abs(roots[j] - mu) < tol:
-                group.append(j)
-        if len(group) == 1:
-            out.append(mu)
-            used[i] = True
-            continue
-        m = len(group)
-        center = sum(roots[j] for j in group) / m
-        z = center
-        for _ in range(50):
-            t = _taylor(a, z, m)
-            if t[m] == 0:
-                break
-            step = t[m - 1] / (m * t[m])  # p^(m-1) / p^(m)
-            z = z - step
-            if abs(step) < 1e-15 * (1.0 + abs(z)):
-                break
-        for j in group:
-            used[j] = True
-        if abs(z - center) < tol and _eval_at(a, c, z)[2] <= threshold:
-            out.extend([z] * m)
-        else:  # near simple roots pass the gate where their mean may not
-            out.extend(roots[j] for j in group)
-    return out
+    """The roots, each close pair apart from every other root snapped onto the xi of its gap
+    when xi lies as close to its centre and passes the gate; see the module docstring."""
+    if c == 0:
+        return roots
+    # a pair within tol is within 2 tol in w = Re + Im, which sets conjugates 2 |Im| apart
+    tol = 1e-6 * max(map(abs, roots))
+    w = [m.real + m.imag for m in roots]
+    w.sort()
+    if min(map(sub, w[1:], w)) >= 2 * tol:  # the usual case: no pair
+        return roots
+    rs = sorted(roots, key=lambda m: m.real + m.imag)
+    close = []
+    for i, mu in enumerate(rs):
+        for j in range(i + 1, bisect.bisect_left(w, w[i] + 2 * tol)):
+            if abs(rs[j] - mu) < tol:
+                close.append((i, j))
+    linked, s = [k for pair in close for k in pair], sorted(a)
+    for i, j in close:
+        centre = (rs[i] + rs[j]) / 2
+        k = bisect.bisect_right(s, centre.real) - 1
+        if linked.count(i) == linked.count(j) == 1 and 0 <= k < len(s) - 1 and s[k] < centre.real:
+            xi = _critical_point(s, k)
+            if abs(xi - centre) < tol and _eval_at(a, c, xi)[2] <= threshold:
+                rs[i] = rs[j] = complex(xi)
+    return rs
 
 
 def axis_pairs(roots, tol: float = AXIS_TOL) -> list[list[complex]]:

@@ -40,6 +40,22 @@ def solves(monkeypatch):
 
 
 @pytest.fixture
+def critical_points(monkeypatch):
+    """The number of gaps of A' searched, `spectra._critical_point` calls, so far in the test."""
+    count = 0
+    find = spectra._critical_point
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return find(*args)
+
+    for module in (spectra, genericity):
+        monkeypatch.setattr(module, "_critical_point", counted)
+    return lambda: count
+
+
+@pytest.fixture
 def eigensolves(monkeypatch):
     """The shape of every array passed to `np.linalg.eigvals` so far in the test."""
     shapes = []

@@ -9,7 +9,7 @@ the package under test, so disagreements point at the implementation:
   * the auxiliary resonance polynomial built symbolically, and with
     np.polymul and np.polysub on the dense coefficients,
   * the forbidden-set sources kept when A is evaluated by np.polyval of its
-    dense coefficients,
+    dense coefficients, and the roots of A' certified to 40 digits,
   * constructions of rings with prescribed spectral features (an imaginary
     pair, a double eigenvalue, a 5-node 2:1 resonance).
 
@@ -280,6 +280,41 @@ def mp_ring_roots(a, c: float, start, dps: int = 50, max_iter: int = 200) -> lis
     raise AssertionError(f"mpmath iteration not certified after {max_iter} sweeps")
 
 
+def mp_critical_points(a, dps: int = 40, max_iter: int = 400) -> list:
+    """The n - 1 roots of A' for A = prod(a_j - z), increasing, at `dps` digits, certified.
+
+    Each a_j repeated m times is a root m - 1 times, returned as that float.
+    Between neighbouring distinct a_j, g = A'/A = sum 1/(z - a_j) falls from
+    +inf to -inf; its root there is found by Newton on g with bisection of
+    the bracket as the fallback, and returned only when g changes sign
+    across 1e-(dps - 10) of the scale about it. Raises AssertionError otherwise.
+    """
+    with mpmath.workdps(dps):
+        s = sorted(a)
+        terms = [mpmath.mpf(v) for v in s]
+        tiny = mpmath.mpf(10) ** (10 - dps) * (1 + max(abs(v) for v in terms))
+
+        def g_dg(z):
+            return mpmath.fsum(1 / (z - v) for v in terms), -mpmath.fsum(1 / (z - v) ** 2 for v in terms)
+
+        out = []
+        for lo, hi in zip(terms, terms[1:]):
+            if lo == hi:
+                out.append(lo)
+                continue
+            z = (lo + hi) / 2
+            for _ in range(max_iter):
+                g, dg = g_dg(z)
+                if abs(g / dg) < tiny / 2**20 or hi - lo < tiny:
+                    break
+                lo, hi = (z, hi) if g > 0 else (lo, z)
+                new = z - g / dg
+                z = new if lo < new < hi else (lo + hi) / 2
+            assert g_dg(z - tiny)[0] > 0 > g_dg(z + tiny)[0], f"root of A' near {z} not certified"
+            out.append(z)
+        return out
+
+
 def construct_resonant_ring_5(rng, attempts: int = 200):
     """A 5-node ring with eigenvalues i*omega and 2i*omega (a 2:1 resonance).
 
@@ -363,19 +398,18 @@ def stripped_adjacency_roots(coeffs) -> np.ndarray:
 
 
 def polyval_forbidden_sources(a, k_max: int) -> list[tuple]:
-    """Sources of the forbidden values, as np.polyval of the dense A keeps them.
+    """Sources of the resonance forbidden values, as np.polyval of the dense A keeps them.
 
-    The Q_k roots for 2 <= k <= k_max come first, then the roots of A'; a
-    root is kept where -A(lambda) is real to 1e-9 (1 + |A(lambda)|). One
-    np.polyval call takes all roots: it is elementwise Horner, so each value
-    is bitwise the one a call per root gives.
+    The Q_k roots for 2 <= k <= k_max, in order of k; a root is kept where
+    -A(lambda) is real to 1e-9 (1 + |A(lambda)|). One np.polyval call takes
+    all roots: it is elementwise Horner, so each value is bitwise the one a
+    call per root gives.
     """
     A = a_poly(a)
-    polys = [(("resonance_root", k), polymul_resonance_poly(a, k)) for k in range(2, k_max + 1)]
     kept = []
-    for source, poly in polys + [(("p_prime_root",), np.polyder(A))]:
-        roots = np.roots(poly)
+    for k in range(2, k_max + 1):
+        roots = np.roots(polymul_resonance_poly(a, k))
         for lam, v in zip(roots, -np.polyval(A, roots)):
             if abs(v.imag) < 1e-9 * (1.0 + abs(v)):
-                kept.append((*source, complex(lam)))
+                kept.append(("resonance_root", k, complex(lam)))
     return kept

@@ -278,8 +278,9 @@ NUMPY_PROBE = (
 
 
 def test_pure_python_paths_start_without_numpy(capsys, tmp_path, reference_ring_file):
-    # below the vector-sweep crossover every spectrum, Hopf report, phase profile and
-    # table is scalar arithmetic, so these children must not pay for numpy's import
+    # below the vector-sweep crossover every spectrum, Hopf report, phase profile, table
+    # and repair of a double root is scalar arithmetic, so these children must not pay
+    # for numpy's import
     done = subprocess.run(
         [sys.executable, "-c", "import sys, ringhopf, ringhopf.cli; print('numpy' in sys.modules)"],
         env=CHILD_ENV, capture_output=True, text=True, check=True,
@@ -288,12 +289,15 @@ def test_pure_python_paths_start_without_numpy(capsys, tmp_path, reference_ring_
     ring, _ = oracles.construct_hopf_ring(spectra.VECTOR_SWEEP_MIN_N - 1, np.random.default_rng(5))
     below_crossover = str(tmp_path / "ring.json")
     save(ring, below_crossover)
+    double = str(tmp_path / "double.json")
+    save(oracles.construct_grid_double_ring(4, np.random.default_rng(5))[0], double)
     for argv in (
         ["analyze", reference_ring_file],
         ["analyze", below_crossover],
         ["phases", below_crossover],
         ["tables", "--format", "csv", "--discrepancies"],
         ["spectrum", below_crossover, "--kmax", "3"],
+        ["perturb", double, "--epsilon", "1e-3"],
     ):
         # bytes, decoded without newline translation: the CSV writer ends rows in \r\n
         child = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=CHILD_ENV, capture_output=True)

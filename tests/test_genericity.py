@@ -184,11 +184,47 @@ def test_forbidden_values_equal_minus_A_in_mpmath():
 
 
 def test_kept_sources_equal_the_polyval_filter():
+    # the Q_k sources bit for bit; the roots of A' against mpmath on every 25th ring
     rng = np.random.default_rng(13)
-    for _ in range(1000):
+    for i in range(1000):
         r = uniform_ring(int(rng.integers(3, 41)), rng)
-        fs = resonance_forbidden_set(r, k_max=3) | multiplicity_forbidden_set(r)
+        fs = resonance_forbidden_set(r, k_max=3)
         assert list(fs.sources) == oracles.polyval_forbidden_sources(r.a, k_max=3), r
+        if i % 25 == 0:
+            roots = [lam for _, lam in multiplicity_forbidden_set(r).sources]
+            exact = oracles.mp_critical_points(r.a)
+            assert max(abs(x - complex(xi)) for x, xi in zip(roots, exact)) <= 3e-14, r
+
+
+def test_multiplicity_values_are_minus_A_at_the_exact_critical_points():
+    # n - 1 values in increasing order of the root; a repeated a_j, signed zeros
+    # included, is itself the root, m - 1 times, where -A is exactly zero
+    rng = np.random.default_rng(23)
+    diagonals = []
+    for n in range(3, 41):
+        diagonals.append(tuple(rng.uniform(-3, 3, n)))
+        diagonals.append(tuple(rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, -3.0], n)))
+    diagonals += [(0.0, -0.0, 1.0), (-0.0, 0.0, -0.0, 2.0), (1.5,) * 17 + (-1.0, 0.0, 4.0)]
+    for a in diagonals:
+        fs = multiplicity_forbidden_set(RingParams(len(a), a, (1.0,) * len(a)))
+        exact = oracles.mp_critical_points(a)
+        assert [source for source, _ in fs.sources] == ["p_prime_root"] * (len(a) - 1)
+        with mpmath.workdps(40):
+            for value, (_, lam), xi in zip(fs.values, fs.sources, exact):
+                if xi in a:
+                    assert (lam, value) == (complex(xi), 0.0), a
+                want = -mpmath.fprod(mpmath.mpf(v) - xi for v in a)
+                assert abs(value - want) <= 1e-12 * abs(want), (a, lam)
+
+
+def test_grid_double_rings_at_n_40_lie_on_a_forbidden_value():
+    # np.roots of the dense A' placed these up to 3e-3 away from the constructed c
+    rng = np.random.default_rng(24)
+    for _ in range(30):
+        r, lam = oracles.construct_grid_double_ring(40, rng)
+        c = r.coupling_product()
+        nearest = min(multiplicity_forbidden_set(r).values, key=lambda v: abs(v - c))
+        assert abs(nearest - c) <= 1e-12 * abs(c), lam
 
 
 def test_detect_resonance_adjacency_examples():
@@ -507,7 +543,7 @@ def test_one_product_pass_equals_one_pass_per_k():
 
 
 @pytest.mark.parametrize("kind", ["plain", "axis", "double"])
-def test_the_repair_pipeline_finds_each_diagonals_roots_once(kind, eigensolves):
+def test_the_repair_pipeline_finds_each_diagonals_roots_once(kind, eigensolves, critical_points):
     # the rings of test_the_repair_pipeline_solves_each_ring_once; a repair keeps a
     n, rng = 10, np.random.default_rng(7)
     if kind == "plain":
@@ -520,11 +556,13 @@ def test_the_repair_pipeline_finds_each_diagonals_roots_once(kind, eigensolves):
     multiple = remove_multiple(ring, epsilon=1e-3)
     remove_resonances(multiple.perturbed, k_max=3, epsilon=1e-3)
     assert (multiple.perturbed is ring) == (kind != "double")
-    # A' once (companion n - 1), then Q_2 and Q_3 in one call (companions 2n - 1)
-    assert eigensolves == [(1, n - 1, n - 1), (2, 2 * n - 1, 2 * n - 1)]
+    # the n - 1 gaps of A' once, and the gap of the double root as eigenvalues snaps
+    # it; Q_2 and Q_3 in one call (companions 2n - 1)
+    assert critical_points() == n - 1 + (kind == "double")
+    assert eigensolves == [(2, 2 * n - 1, 2 * n - 1)]
 
 
-def test_diagonals_differing_in_the_sign_of_a_zero_are_computed_apart(eigensolves):
+def test_diagonals_differing_in_the_sign_of_a_zero_are_computed_apart(eigensolves, critical_points):
     plus = RingParams(3, (0.0, 1.0, 2.0), (1.0, 1.0, 1.0))
     minus = RingParams(3, (-0.0, 1.0, 2.0), (1.0, 1.0, 1.0))
     assert plus == minus
@@ -536,4 +574,4 @@ def test_diagonals_differing_in_the_sign_of_a_zero_are_computed_apart(eigensolve
     multiplicity_forbidden_set(plus)
     multiplicity_forbidden_set(minus)
     assert multiplicity_forbidden_set(RingParams(3, minus.a, plus.b)) is multiplicity_forbidden_set(minus)
-    assert len(eigensolves) == 5
+    assert (len(eigensolves), critical_points()) == (3, 2 * 2)  # both gaps of each diagonal

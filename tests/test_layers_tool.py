@@ -19,9 +19,12 @@ def test_layer_timings_run_at_n_3():
     assert [name for name, *_ in rows] == [
         "eigenvalues, scalar sweep",
         "eigenvalues, vector sweep",
+        "char_poly",
+        "phase_shifts",
         "multiplicity_forbidden_set",
         "resonance_forbidden_set, k <= 3",
         "remove_multiple",
+        "remove_resonances, k <= 3",
         "RK4 step",
     ]
     assert all(n == 3 and 0 < us < 1e6 and failed == 0 for _, n, us, failed in rows)
@@ -34,21 +37,22 @@ def test_layer_timings_solve_on_every_call(solves):
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     layers.main(["--sizes", "3", "--repeat", "2"])
-    # per pass: both eigenvalues sweeps and remove_multiple, none of whose rings is repaired
-    assert solves() == 2 * 3 * layers.RINGS
+    # per pass: both eigenvalues sweeps and the two removals, none of whose rings is repaired
+    assert solves() == 2 * 4 * layers.RINGS
 
 
-def test_forbidden_set_rows_compute_on_every_call(eigensolves):
+def test_forbidden_set_rows_compute_on_every_call(eigensolves, critical_points):
     # consecutive calls never share a diagonal either, so the forbidden sets' memo of
     # the last one never answers for them
     spec = importlib.util.spec_from_file_location("layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     layers.main(["--sizes", "3", "--repeat", "2"])
-    # each row runs both its passes: A' in the multiplicity row, Q_2 and Q_3 in one call
-    # in the resonance row, and A' again in remove_multiple
+    # each row runs both its passes: Q_2 and Q_3 in one call in the resonance row and in
+    # remove_resonances, and the two gaps of A' in the multiplicity row and both removals
     calls = 2 * layers.RINGS
-    assert eigensolves == [(1, 2, 2)] * calls + [(2, 5, 5)] * calls + [(1, 2, 2)] * calls
+    assert eigensolves == [(2, 5, 5)] * calls * 2
+    assert critical_points() == 2 * calls * 3
 
 
 def test_cli_rows_time_every_subcommand_as_a_child():
@@ -58,8 +62,8 @@ def test_cli_rows_time_every_subcommand_as_a_child():
     cpus = os.sched_getaffinity(0)
     rows = layers.main(["--sizes", "3", "--repeat", "1", "--cli", "1"])
     assert os.sched_getaffinity(0) == cpus
-    assert len(rows) == 6 + 9  # the default rows come first, unchanged
-    cli_rows = rows[6:]
+    assert len(rows) == 9 + 9  # the default rows come first, unchanged
+    cli_rows = rows[9:]
     assert [name for name, *_ in cli_rows] == [
         "python -c pass",
         "python -c 'import numpy'",

@@ -281,6 +281,36 @@ def test_close_simple_roots_keep_their_aberth_values():
     _match_multiset(s.eigenvalues, oracles.dense_eigvals(r), 1e-9)
 
 
+def test_zero_coupling_ring_returns_its_diagonal_exactly():
+    # with c = 0 the Aberth roots start and stay on the a_j; a block of 17 equal a_j,
+    # and the vector sweep it brings, leaves them as they are
+    a = (0.1,) * 17 + (-1.0, 2.0, 4.5)
+    s = eigenvalues(RingParams(20, a, (1.0,) * 19 + (0.0,)))
+    assert s.eigenvalues == tuple(complex(v) for v in sorted(a))
+
+
+def test_near_triple_cluster_keeps_its_own_roots():
+    # c = 1e-25 splits the triple a_j = 1 by about 2.6e-9: three roots closer than the
+    # polish radius, which no single root of A' joins, so none is snapped
+    r = RingParams(5, (1.0, 1.0, 1.0, -2.0, 3.0), (1e-5,) * 5)
+    near = [m for m in eigenvalues(r).eigenvalues if abs(m - 1.0) < 1e-6]
+    assert len(set(near)) == 3
+    assert all(spectra.backward_error(r, m) <= spectra.RESIDUAL_TOL for m in near)
+    _assert_matches_mpmath(r)
+
+
+@pytest.mark.parametrize("n", [4, 10, 20, 40])
+def test_a_snapped_pair_is_the_critical_point_of_its_gap(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        r, lam = oracles.construct_grid_double_ring(n, rng)
+        s = sorted(r.a)
+        k = max(i for i in range(n - 1) if s[i] < lam)
+        xi = spectra._critical_point(s, k)
+        assert eigenvalues(r).eigenvalues.count(complex(xi)) == 2, lam
+        assert abs(xi - lam) <= 3e-14
+
+
 def test_omega_squared_identity_n3():
     # for an n=3 axis pair, omega^2 equals the second symmetric function of a
     rng = np.random.default_rng(6)

@@ -3,10 +3,12 @@
     PYTHONPATH=src python tools/layers.py [--sizes 3 10 20 40 64] [--repeat 3] [--cli K]
 
 For each ring size, the same RINGS random rings (a_j, b_j ~ U(-3, 3), fixed
-seed) go through `eigenvalues` on each Aberth sweep, the two forbidden
-sets (k <= 3) and `remove_multiple`; one RK4 step is timed on a 3-node
-family. Each figure is the best of --repeat passes of the mean time per
-call, in microseconds; a layer that raised on some rings says on how many.
+seed) go through `eigenvalues` on each Aberth sweep, `char_poly`, the two
+forbidden sets (k <= 3), `remove_multiple` and `remove_resonances`, and
+RINGS rings with an axis pair through `phase_shifts`; one RK4 step is timed
+on a 3-node family. Each batch holds distinct rings, so no memo answers.
+Each figure is the best of --repeat passes of the mean time per call, in
+microseconds; a layer that raised on some rings says on how many.
 With --cli K, each subcommand also runs K times as a child process on a
 small input, beside a bare interpreter and a bare `import numpy`; each row
 is the median wall time, the children take turns, and a row says how many
@@ -17,6 +19,7 @@ while it measures and gets its CPUs back after.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import math
 import os
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 import ringhopf
-from ringhopf import genericity, simulate, spectra
+from ringhopf import genericity, phases, simulate, spectra
 from ringhopf.model import AdjacencyMatrix, AdmissibleOdeFamily, RingParams, save
 
 SEED = 0
@@ -61,6 +64,22 @@ def rings(n: int) -> list[RingParams]:
     ]
 
 
+def axis_rings(n: int) -> list[tuple[RingParams, float]]:
+    """RINGS rings with the eigenvalue i*omega: a_1 makes A(i*omega) real, and b_1 sets c to -A there."""
+    rng = np.random.default_rng([SEED, n, 1])
+    out = []
+    while len(out) < RINGS:
+        omega, rest = rng.uniform(0.5, 3), rng.uniform(-3, 3, n - 1)
+        phi = sum(cmath.phase(v - 1j * omega) for v in rest)
+        a = (omega / math.tan(phi), *rest)
+        if abs(a[0]) <= 3:
+            c = -math.prod(v - 1j * omega for v in a).real
+            b = rng.uniform(-3, 3, n)
+            b[0] = (-1) ** (n + 1) * c / math.prod(b[1:])
+            out.append((RingParams(n, a, tuple(b)), omega))
+    return out
+
+
 def best_per_call(fn, inputs, repeat: int) -> tuple[float, int]:
     """Best over `repeat` passes of the mean seconds per call, and the calls that raised."""
     best, failed = math.inf, 0
@@ -85,12 +104,15 @@ def measure(sizes, repeat: int) -> list[tuple[str, int, float, int]]:
             with sweep(vector):
                 rows.append((name, n, *best_per_call(spectra.eigenvalues, batch, repeat)))
         layers = (
-            ("multiplicity_forbidden_set", genericity.multiplicity_forbidden_set),
-            ("resonance_forbidden_set, k <= 3", lambda r: genericity.resonance_forbidden_set(r, K_MAX)),
-            ("remove_multiple", lambda r: genericity.remove_multiple(r, EPSILON)),
+            ("char_poly", spectra.char_poly, batch),
+            ("phase_shifts", lambda pair: phases.phase_shifts(*pair), axis_rings(n)),
+            ("multiplicity_forbidden_set", genericity.multiplicity_forbidden_set, batch),
+            ("resonance_forbidden_set, k <= 3", lambda r: genericity.resonance_forbidden_set(r, K_MAX), batch),
+            ("remove_multiple", lambda r: genericity.remove_multiple(r, EPSILON), batch),
+            ("remove_resonances, k <= 3", lambda r: genericity.remove_resonances(r, K_MAX, EPSILON), batch),
         )
-        for name, fn in layers:
-            rows.append((name, n, *best_per_call(fn, batch, repeat)))
+        for name, fn, inputs in layers:
+            rows.append((name, n, *best_per_call(fn, inputs, repeat)))
     h = 2 * math.pi / simulate.DEFAULT_STEPS_PER_PERIOD
     t_end = RK4_STEPS * h
     x0 = (0.1, 0.0, 0.0)
