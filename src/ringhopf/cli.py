@@ -60,7 +60,7 @@ def cmd_analyze(args) -> int:
         doc["hopf"] = hopf.hopf_conditions_3(ring).to_dict()
     doc["imaginary_pair"] = detection.to_dict()
     found = detection.omega is not None
-    if found and all(v != 0.0 for v in ring.b):
+    if found:
         profile = phases.phase_shifts(ring, detection.omega)
         doc["phases"] = profile.to_dict()
     _write_output(json.dumps(doc, indent=2), args.out)

@@ -32,7 +32,8 @@ from itertools import compress
 from typing import Callable
 
 from .model import Record, RingParams, require_valid
-from .spectra import AXIS_TOL, Spectrum, _critical_point, a_poly_coeffs, axis_pairs, eigenvalues
+from .spectra import AXIS_TOL, RootFindingError, Spectrum, _clusters, _critical_point, a_poly_coeffs
+from .spectra import axis_pairs, eigenvalues
 
 GAP_TOL_FACTOR = 1e-7
 REAL_VALUE_TOL = 1e-9
@@ -61,35 +62,10 @@ def detect_multiple(spectrum: Spectrum, gap_tol: float | None = None) -> list[Ei
         gap_tol = default_gap_tol(spectrum)
     if not 0 < gap_tol < math.inf:
         raise ValueError(f"gap_tol must be positive and finite, got {gap_tol}")
-    mus = list(spectrum.eigenvalues)
-    parent = list(range(len(mus)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            if abs(mus[i] - mus[j]) < gap_tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
-    for i in range(len(mus)):
-        groups.setdefault(find(i), []).append(mus[i])
-    clusters = []
-    for members in groups.values():
-        if len(members) > 1:
-            mean = sum(members) / len(members)
-            clusters.append(
-                EigenvalueCluster(
-                    value=complex(mean),
-                    multiplicity=len(members),
-                    members=tuple(members),
-                )
-            )
-    clusters.sort(key=lambda c: (c.value.real, c.value.imag))
-    return clusters
+    mus = spectrum.eigenvalues
+    groups = [[mus[i] for i in group] for group in _clusters(mus, gap_tol)]
+    clusters = [EigenvalueCluster(complex(sum(m) / len(m)), len(m), tuple(m)) for m in groups]
+    return sorted(clusters, key=lambda c: (c.value.real, c.value.imag))
 
 
 @dataclass(frozen=True)
@@ -180,7 +156,13 @@ def _resonance_coeffs(A, k: int) -> np.ndarray:
     # products have length 2n, so Q_k has degree 2n-1
     powers = np.array([float(k) ** e for e in range(len(A) - 1, -1, -1)])
     dA = A[:-1] * np.arange(len(A) - 1, 0, -1)
-    return np.convolve(dA * powers[1:] * (k - 1), A) - np.convolve(dA, A * powers - A)
+    with np.errstate(all="ignore"):
+        Q = np.convolve(dA * powers[1:] * (k - 1), A) - np.convolve(dA, A * powers - A)
+    bad = len(Q) - np.isfinite(Q).sum()
+    if bad:
+        raise RootFindingError(f"Q_{k} of a ring with n = {len(A) - 1} has {bad} of {len(Q)} dense "
+                               f"coefficients that are not finite (A's largest is {np.abs(A).max():.3e})")
+    return Q
 
 
 def resonance_poly(params: RingParams, k: int) -> np.ndarray:

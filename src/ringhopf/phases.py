@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .hopf import NotAHopfPointError, hopf_conditions_3
+from .hopf import hopf_conditions_3
 from .model import Record, RingParams, cyclic_relabel, require_valid
 from .spectra import ZeroCouplingError, backward_error
 
@@ -115,7 +115,7 @@ def phase_shifts(params: RingParams, omega: float, force: bool = False) -> Phase
     if params.n == 3:
         try:
             case = classify_case(params).label
-        except (NotAHopfPointError, ValueError):
+        except ValueError:
             case = None
     return PhaseProfile(
         omega_sign=omega_sign,
@@ -168,10 +168,7 @@ def classify_case(params: RingParams) -> CaseClassification:
         label = "C"
     else:
         raise ValueError(f"inconsistent sign configuration for a Hopf point: {kinds}")
-    rotated = cyclic_relabel(params, shift)
-    if not (rotated.a[1] < 0 and rotated.a[2] < 0):
-        raise ValueError(f"case {label} should force a_2, a_3 < 0; got {rotated.a}")
-    return CaseClassification(label=label, shift=shift, relabeled=rotated)
+    return CaseClassification(label=label, shift=shift, relabeled=cyclic_relabel(params, shift))
 
 
 # Reference tables as printed (sector labels per row of b signs). The

@@ -19,14 +19,17 @@ starts and stays, and nothing is snapped; with c != 0 every multiple root
 is a real double root at some xi, and a pair of roots within 1e-6 of the
 spectral radius is snapped onto the xi of its gap when xi lies that near
 and passes the gate. Any other group keeps its own roots, each gated.
+Roots are close when distances below tol link them; one scan finds them for
+the polish and detect_multiple, after a sort by Re + Im, where a close pair
+is within 2 tol, so neighbours settle the usual case of no pair in O(n).
 A root is accepted at componentwise backward error <= 1e-10, and
 it is real only when its real part also passes that gate. An eigenvector
-is accepted at eigenpair backward error <= 1e-9, so `eigenvector_for`
-works at any scale of the ring. From VECTOR_SWEEP_MIN_N roots on, a sweep
-moves all roots at once in numpy; both sweeps pass one backward-error gate.
-numpy is imported only where an array is built, so a smaller ring is solved
-without loading it. A repeat `eigenvalues` call on the same ring object
-returns the same Spectrum.
+is accepted at eigenpair backward error <= 1e-9, taken row by row in
+product form, so `eigenvector_for` works at any scale of the ring. From
+VECTOR_SWEEP_MIN_N roots on, a sweep moves all roots at once in numpy; both
+sweeps pass one backward-error gate. numpy is imported only where an array
+is built, so a smaller ring is solved without loading it. A repeat
+`eigenvalues` call on the same ring object returns the same Spectrum.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ _memo = None  # (params, residual_tol, axis_tol, Spectrum) of the last solve, sw
 
 
 class RootFindingError(RuntimeError):
-    """The roots failed the backward-error gate or the power-sum check."""
+    """The roots failed the backward-error gate or the power-sum check, or a polynomial is not finite."""
 
 
 class ZeroCouplingError(ValueError):
@@ -91,12 +94,15 @@ class Spectrum(Record):
         return max(abs(m) for m in self.eigenvalues)
 
     def min_gap(self) -> float:
-        mus = self.eigenvalues
-        return min(
-            abs(mus[i] - mus[j])
-            for i in range(len(mus))
-            for j in range(i + 1, len(mus))
-        )
+        """The least |mu - nu| over pairs; a row of the Re-sorted roots ends once dRe reaches it."""
+        mus = sorted(self.eigenvalues, key=lambda m: m.real)
+        best = min(abs(nu - mu) for mu, nu in zip(mus, mus[1:]))
+        for i, mu in enumerate(mus):
+            for nu in mus[i + 2 :]:
+                if nu.real - mu.real >= best:
+                    break
+                best = min(best, abs(nu - mu))
+        return best
 
 
 @dataclass(frozen=True)
@@ -331,32 +337,44 @@ def _critical_point(s, k: int) -> float:
     return z
 
 
+def _clusters(roots, tol: float) -> list[list[int]]:
+    """Indices of each group of two or more roots linked by distances below tol, in increasing
+    order, the groups by their first index; see the module docstring."""
+    if len(roots) < 2:
+        return []
+    ws = [m.real + m.imag for m in roots]
+    ws.sort()
+    # a pair within tol is within sqrt(2) tol in w = Re + Im, which sets conjugates 2 |Im| apart;
+    # 2 tol, and 16 eps of the largest |w| for the rounding of w, bound that
+    reach = 2 * tol + 2.0**-49 * max(ws[-1], -ws[0])
+    if min(map(sub, ws[1:], ws)) >= reach:  # the usual case: no pair
+        return []
+    order = sorted(range(len(roots)), key=lambda k: roots[k].real + roots[k].imag)
+    group = {}  # index -> the list of its group, shared by every member
+    for p, i in enumerate(order):
+        for j in order[p + 1 : bisect.bisect_left(ws, ws[p] + reach)]:
+            if abs(roots[j] - roots[i]) < tol:
+                gi, gj = group.setdefault(i, [i]), group.setdefault(j, [j])
+                if gi is not gj:
+                    gi += gj
+                    group.update(dict.fromkeys(gj, gi))
+    return sorted(sorted(g) for g in {id(g): g for g in group.values()}.values())
+
+
 def _polish_clusters(roots, a, c: float, threshold: float) -> list[complex]:
     """The roots, each close pair apart from every other root snapped onto the xi of its gap
     when xi lies as close to its centre and passes the gate; see the module docstring."""
     if c == 0:
         return roots
-    # a pair within tol is within 2 tol in w = Re + Im, which sets conjugates 2 |Im| apart
-    tol = 1e-6 * max(map(abs, roots))
-    w = [m.real + m.imag for m in roots]
-    w.sort()
-    if min(map(sub, w[1:], w)) >= 2 * tol:  # the usual case: no pair
-        return roots
-    rs = sorted(roots, key=lambda m: m.real + m.imag)
-    close = []
-    for i, mu in enumerate(rs):
-        for j in range(i + 1, bisect.bisect_left(w, w[i] + 2 * tol)):
-            if abs(rs[j] - mu) < tol:
-                close.append((i, j))
-    linked, s = [k for pair in close for k in pair], sorted(a)
-    for i, j in close:
-        centre = (rs[i] + rs[j]) / 2
+    tol, out = 1e-6 * max(map(abs, roots)), list(roots)
+    for i, j in (g for g in _clusters(roots, tol) if len(g) == 2):
+        s, centre = sorted(a), (roots[i] + roots[j]) / 2
         k = bisect.bisect_right(s, centre.real) - 1
-        if linked.count(i) == linked.count(j) == 1 and 0 <= k < len(s) - 1 and s[k] < centre.real:
+        if 0 <= k < len(s) - 1 and s[k] < centre.real:
             xi = _critical_point(s, k)
             if abs(xi - centre) < tol and _eval_at(a, c, xi)[2] <= threshold:
-                rs[i] = rs[j] = complex(xi)
-    return rs
+                out[i] = out[j] = complex(xi)
+    return out
 
 
 def axis_pairs(roots, tol: float = AXIS_TOL) -> list[list[complex]]:
@@ -423,7 +441,6 @@ def _solve(params: RingParams, residual_tol: float, axis_tol: float) -> Spectrum
 def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
     """Eigenvector from u_{j+1} = (mu - a_j)/b_j * u_j, scaled to u_1 = 1, run once round
     from after the least accurate factor, so its error enters only the gated closure row."""
-    import numpy as np
     require_valid(params)
     n, a, b = params.n, params.a, params.b
     zero = [j for j, v in enumerate(b) if v == 0.0]
@@ -443,11 +460,11 @@ def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
     closure = entries[s - 1] * (mu - a[s - 1]) / b[s - 1]
     if s:
         entries = [1.0 + 0.0j] + [v / entries[0] for v in entries[1:]]
-    u = np.array(entries)
-    residual = np.abs(params.jacobian() @ u - mu * u).max()
+    # row j of Ju - mu u is (a_j - mu) u_j + b_j u_{j+1}; row s-1's is b_{s-1} (1 - closure) u_s
+    rows = [abs((a[j] - mu) * entries[j] + b[j] * entries[(j + 1) % n]) for j in range(n)]
+    residual = max(rows, key=lambda r: (r != r, r))  # a NaN row is the largest, so the gate fails
     norm = max(abs(x) + abs(y) for x, y in zip(a, b)) + abs(mu)
-    bound = EIGENVECTOR_RESIDUAL_TOL * norm * np.abs(u).max()
-    # b_{s-1} (1 - closure) u_s is the residual's row s-1: the closure needs no gate
+    bound = EIGENVECTOR_RESIDUAL_TOL * norm * max(map(abs, entries))
     if not residual <= bound:
         raise ValueError(
             f"closure product {closure} differs from 1 by {abs(closure - 1.0):.3e}: the "

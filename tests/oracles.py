@@ -10,6 +10,8 @@ the package under test, so disagreements point at the implementation:
     np.polymul and np.polysub on the dense coefficients,
   * the forbidden-set sources kept when A is evaluated by np.polyval of its
     dense coefficients, and the roots of A' certified to 40 digits,
+  * the least distance between values and their close clusters by comparing
+    every pair, the clusters by union-find,
   * constructions of rings with prescribed spectral features (an imaginary
     pair, a double eigenvalue, a 5-node 2:1 resonance).
 
@@ -413,3 +415,39 @@ def polyval_forbidden_sources(a, k_max: int) -> list[tuple]:
             if abs(v.imag) < 1e-9 * (1.0 + abs(v)):
                 kept.append(("resonance_root", k, complex(lam)))
     return kept
+
+
+def all_pairs_min_gap(mus) -> float:
+    """The least |mu_i - mu_j| over every pair i < j."""
+    return min(abs(mus[i] - mus[j]) for i in range(len(mus)) for j in range(i + 1, len(mus)))
+
+
+def union_find_clusters(mus, tol: float) -> list[list[int]]:
+    """Indices of each group of two or more values linked by |mu_i - mu_j| < tol, found by
+    union-find over every pair; each group in increasing order, the groups by first index."""
+    parent = list(range(len(mus)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(mus)):
+        for j in range(i + 1, len(mus)):
+            if abs(mus[i] - mus[j]) < tol:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(mus)):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(g for g in groups.values() if len(g) > 1)
+
+
+def dense_eigenvector_residual(params: RingParams, mu: complex, u) -> tuple[float, float]:
+    """||J u - mu u||_inf by the dense Jacobian, and the eigenvector gate's bound
+    1e-9 (max_j |a_j| + |b_j| + |mu|) ||u||_inf."""
+    J = np.diag(np.asarray(params.a, dtype=float))
+    for j in range(params.n):
+        J[j, (j + 1) % params.n] = params.b[j]
+    u = np.asarray(u, dtype=complex)
+    norm = max(abs(x) + abs(y) for x, y in zip(params.a, params.b)) + abs(mu)
+    return float(np.abs(J @ u - mu * u).max()), 1e-9 * norm * float(np.abs(u).max())

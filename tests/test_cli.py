@@ -338,3 +338,16 @@ def test_positive_options_reject_nan_and_inf(capsys, reference_ring_file, comman
         main(argv + [option, value])
     assert info.value.code == 2
     assert f"argument {option}: must be positive and finite, got {value}" in capsys.readouterr().err
+
+
+def test_perturb_kmax_on_a_ring_whose_Q_k_overflows_is_one_error_line(tmp_path):
+    path = tmp_path / "wide.json"
+    save(RingParams(64, tuple(float(v) for v in np.linspace(-3000.0, 3000.0, 64)), (1.0,) * 64), path)
+    done = subprocess.run(
+        [sys.executable, "-m", "ringhopf.cli", "perturb", str(path), "--kmax", "2"],
+        env=CHILD_ENV, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout) == (EXIT_ERROR, "")
+    assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: Q_2 of a ring with n = 64 has 35 of 128")

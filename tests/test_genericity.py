@@ -1,6 +1,7 @@
 """Tests for forbidden sets, resonance polynomials and coupling perturbations."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -21,7 +22,7 @@ from ringhopf.genericity import (
     resonance_poly,
 )
 from ringhopf.model import AdjacencyMatrix, RingParams
-from ringhopf.spectra import a_poly_coeffs, adjacency_spectrum, eigenvalues
+from ringhopf.spectra import RootFindingError, a_poly_coeffs, adjacency_spectrum, eigenvalues
 
 
 def test_detect_double_eigenvalue():
@@ -575,3 +576,29 @@ def test_diagonals_differing_in_the_sign_of_a_zero_are_computed_apart(eigensolve
     multiplicity_forbidden_set(minus)
     assert multiplicity_forbidden_set(RingParams(3, minus.a, plus.b)) is multiplicity_forbidden_set(minus)
     assert (len(eigensolves), critical_points()) == (3, 2 * 2)  # both gaps of each diagonal
+
+
+def test_a_gap_of_one_ulp_has_its_critical_point_inside():
+    # the gap is within 4 ulps, so the search takes its midpoint without a step
+    fs = multiplicity_forbidden_set(RingParams(3, (1.0, 1.0 + 2**-52, 3.0), (1.0,) * 3))
+    tag, xi = fs.sources[0]
+    assert tag == "p_prime_root" and 1.0 <= xi.real <= 1.0 + 2**-52 and xi.imag == 0.0
+
+
+def test_resonance_set_that_overflows_is_a_named_error():
+    # A's dense coefficients reach 3e195, so Q_2 has 35 coefficients that are not finite; the
+    # product-form paths solve the same ring
+    ring = RingParams(64, tuple(float(v) for v in np.linspace(-3000.0, 3000.0, 64)), (1.0,) * 64)
+    message = r"^Q_2 of a ring with n = 64 has 35 of 128 dense coefficients that are not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: resonance_forbidden_set(ring, 2),
+            lambda: resonance_forbidden_set(ring, 3),
+            lambda: resonance_poly(ring, 2),
+            lambda: remove_resonances(ring, 2, 1e-3),
+        ):
+            with pytest.raises(RootFindingError, match=message):
+                call()
+        assert eigenvalues(ring).n == 64
+        assert remove_multiple(ring, 1e-3).perturbed == ring

@@ -278,3 +278,25 @@ def test_crossing_check_rejects_bad_lambda0_and_h(lambda0, h):
     message = rf"^lambda0 and h must be finite and h positive, got lambda0={lambda0}, h={h}$"
     with pytest.raises(ValueError, match=message):
         crossing_check(fam, lambda0, h)
+
+
+def test_crossing_check_refuses_an_ambiguous_match():
+    # a second pair 1.4e-6 from the tracked one, well inside 10 h, makes the match ambiguous
+    def jacobian(lam):
+        eps = 1e-6
+        J = np.zeros((4, 4))
+        J[:2, :2] = [[lam, -1.0], [1.0, lam]]
+        J[2:, 2:] = [[lam + eps, -(1.0 + eps)], [1.0 + eps, lam + eps]]
+        return J
+
+    with pytest.raises(RuntimeError, match=r"^eigenvalue matching ambiguous at lambda=-0\.001: "):
+        crossing_check(jacobian, 0.0, 1e-3)
+
+
+def test_two_axis_pairs_within_the_tolerance_are_not_simple():
+    s = Spectrum(
+        eigenvalues=(-2.0 + 0j, -1j, -1j * (1 + 1e-9), 1j, 1j * (1 + 1e-9)),
+        residuals=(0.0,) * 5, pair_tolerance=1e-8, tau=-2.0, omega=None,
+    )
+    detection = detect_imaginary_pair(s)
+    assert (detection.omega, detection.warnings) == (None, ("imaginary pair at 1 is not simple",))

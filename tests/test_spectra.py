@@ -1,6 +1,9 @@
 """Tests for the characteristic polynomial, root finding and eigenvectors."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ringhopf import simulate, spectra
-from ringhopf.genericity import detect_resonance, remove_multiple, remove_resonances
+from ringhopf.genericity import detect_multiple, detect_resonance, remove_multiple, remove_resonances
 from ringhopf.model import AdjacencyMatrix, AdmissibleOdeFamily, RingParams, time_rescale
 from ringhopf.spectra import (
     RootFindingError,
@@ -685,3 +688,118 @@ def test_a_call_that_raised_is_not_recorded(solves):
             eigenvalues(r, residual_tol=0.0)
     assert eigenvalues(oracles.REFERENCE_RING) is kept
     assert solves() == 3
+
+
+@st.composite
+def close_root_sets(draw):
+    """Roots and a tolerance, down to below rounding: points of the unit square at a scale from
+    1e-150 to 1e150, made conjugate-closed or given exact repeats, chains a-b-c with
+    |a - c| >= tol, conjugate pairs closer than tol to the real axis and values 1e-12 apart
+    relative, in any order."""
+    scale = draw(st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]))
+    unit = st.floats(-1.0, 1.0)
+    roots = [scale * complex(x, y) for x, y in draw(st.lists(st.tuples(unit, unit), min_size=2, max_size=12))]
+    tol = scale * draw(st.sampled_from([1e-18, 1e-12, 1e-6, 0.05, 0.5]))
+    kinds = st.sampled_from(["conjugates", "repeat", "chain", "axis", "relative"])
+    for kind in draw(st.lists(kinds, max_size=4)):
+        z = draw(st.sampled_from(roots))
+        if kind == "conjugates":
+            roots += [m.conjugate() for m in roots]
+        elif kind == "repeat":
+            roots.append(z)
+        elif kind == "chain":
+            t = draw(st.floats(0.0, 2 * math.pi))
+            step = draw(st.floats(0.5, 0.99)) * tol * complex(math.cos(t), math.sin(t))
+            roots += [z + step, z + 2 * step]
+        elif kind == "axis":
+            roots += [complex(z.real, 0.3 * tol), complex(z.real, -0.3 * tol)]
+        else:
+            roots.append(z * (1 + 1e-12))
+    return draw(st.permutations(roots)), tol
+
+
+@given(close_root_sets())
+def test_the_close_root_search_matches_every_pair(case):
+    # _clusters, detect_multiple and min_gap against union-find and the minimum over all pairs
+    roots, tol = case
+    groups = oracles.union_find_clusters(roots, tol)
+    assert spectra._clusters(roots, tol) == groups
+    spectrum = spectra.Spectrum(
+        eigenvalues=tuple(roots), residuals=(0.0,) * len(roots), pair_tolerance=spectra.PAIR_TOL,
+        tau=0.0, omega=None,
+    )
+    expected = []
+    for g in groups:
+        members = [roots[i] for i in g]
+        expected.append((sum(members) / len(members), len(members), tuple(members)))
+    expected.sort(key=lambda c: (c[0].real, c[0].imag))
+    got = [(c.value, c.multiplicity, c.members) for c in detect_multiple(spectrum, tol)]
+    assert got == expected
+    assert spectrum.min_gap() == oracles.all_pairs_min_gap(roots)
+
+
+def test_the_close_root_search_at_every_pair_distance():
+    # random spectra with tol set to each of their ten least pair distances, which the strict
+    # comparison leaves unlinked, and to the next float above it, which links them
+    rng = np.random.default_rng(18)
+    for n in (2, 3, 5, 12, 40):
+        for _ in range(20):
+            roots = [complex(x, y) for x, y in rng.normal(size=(n, 2))]
+            spectrum = spectra.Spectrum(
+                eigenvalues=tuple(roots), residuals=(0.0,) * n, pair_tolerance=spectra.PAIR_TOL,
+                tau=0.0, omega=None,
+            )
+            assert spectrum.min_gap() == oracles.all_pairs_min_gap(roots)
+            distances = sorted(abs(x - y) for i, x in enumerate(roots) for y in roots[i + 1 :])
+            for d in distances[:10]:
+                for tol in (d, math.nextafter(d, math.inf)):
+                    assert spectra._clusters(roots, tol) == oracles.union_find_clusters(roots, tol)
+
+
+def test_a_chain_is_one_cluster_and_a_far_pair_none():
+    # a, b, c with |a - b|, |b - c| < tol <= |a - c|: one group of three
+    roots = [1.0 + 0j, 1.0 + 0.6e-6j, 1.0 + 1.2e-6j, 5.0 + 0j, 5.0 + 2e-6j]
+    assert spectra._clusters(roots, 1e-6) == [[0, 1, 2]]
+    assert spectra._clusters(roots[3:], 1e-6) == []
+
+
+@settings(max_examples=30)
+@given(n=st.integers(3, 64), log_scale=st.floats(-4.0, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_row_residual_gates_as_the_dense_residual(n, log_scale, seed):
+    # at each eigenvalue, and moved off it far enough to fail, eigenvector_for accepts exactly
+    # when ||J u - mu u||_inf of its u by the dense Jacobian is within the bound; an infinite
+    # tolerance returns the u that the gate judged
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    r = RingParams(n, tuple(scale * rng.uniform(-3, 3, n)), tuple(scale * rng.uniform(-3, 3, n)))
+    norm = max(abs(x) + abs(y) for x, y in zip(r.a, r.b))
+    decisions = set()
+    for mu in eigenvalues(r).eigenvalues:
+        for nudge in (0.0, 1e-11, 1e-9, 1e-7):
+            z = mu + nudge * norm
+            try:
+                accepted = bool(eigenvector_for(r, z))
+            except ValueError:
+                accepted = False
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spectra, "EIGENVECTOR_RESIDUAL_TOL", math.inf)
+                u = eigenvector_for(r, z).entries
+            residual, bound = oracles.dense_eigenvector_residual(r, z, u)
+            assert accepted == (residual <= bound), (mu, nudge)
+            decisions.add((nudge, accepted))
+    assert {(0.0, True), (1e-7, False)} <= decisions
+
+
+def test_eigenvector_for_runs_without_numpy():
+    # the eigenpair check is product-form arithmetic, so it needs no numpy
+    code = (
+        "import sys\n"
+        "from ringhopf.model import RingParams\n"
+        "from ringhopf.spectra import eigenvalues, eigenvector_for\n"
+        "r = RingParams(4, (-1.0, -2.0, -3.0, 0.5), (1.0, 1.0, -10.0, 2.0))\n"
+        "print([eigenvector_for(r, mu).entries[0] for mu in eigenvalues(r).eigenvalues])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spectra.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["[(1+0j), (1+0j), (1+0j), (1+0j)]", "False"]
