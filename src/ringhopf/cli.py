@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        FileNotFoundError,
+        OSError,
         ValueError,
         genericity.PerturbationBudgetError,
         spectra.RootFindingError,

@@ -29,7 +29,6 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable
 
 from .model import Record, RingParams, require_valid
 from .spectra import AXIS_TOL, RootFindingError, Spectrum, _clusters, _critical_point, a_poly_coeffs
@@ -53,7 +52,8 @@ class EigenvalueCluster:
 
 
 def default_gap_tol(spectrum: Spectrum) -> float:
-    return GAP_TOL_FACTOR * (1.0 + spectrum.spectral_radius())
+    """GAP_TOL_FACTOR times the spectral radius; the least positive float for an all-zero one."""
+    return GAP_TOL_FACTOR * spectrum.spectral_radius() or math.ulp(0.0)
 
 
 def detect_multiple(spectrum: Spectrum, gap_tol: float | None = None) -> list[EigenvalueCluster]:
@@ -206,6 +206,7 @@ def detect_resonance(spectrum: Spectrum, k_max: int, tol: float = AXIS_TOL) -> l
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     freqs = [group[0].imag for group in axis_pairs(spectrum.eigenvalues, tol)]
+    tol *= spectrum.spectral_radius()
     flags = []
     if freqs and any(abs(m) < tol for m in spectrum.eigenvalues):
         flags.append(ResonanceFlag(k=0, omega=float(freqs[0])))
@@ -225,16 +226,6 @@ class PerturbationResult(Record):
     removed: tuple[str, ...]
     forbidden: ForbiddenSet
     margin: float  # distance from the final c to the nearest forbidden value or 0
-
-
-def _dezero_couplings(b: tuple[float, ...], epsilon: float) -> tuple[list[float], list[str]]:
-    out = list(b)
-    notes = []
-    for j, v in enumerate(out):
-        if v == 0.0:
-            out[j] = epsilon / 2.0
-            notes.append(f"zero coupling b[{j}] replaced by {epsilon / 2.0}")
-    return out, notes
 
 
 def _shift_coupling_product(
@@ -279,34 +270,29 @@ def _shift_coupling_product(
 def _repair(
     params: RingParams,
     epsilon: float,
-    spectrum: Spectrum,
     found: list[str],
     forbidden: ForbiddenSet,
-    failure: Callable[[Spectrum, RingParams], str | None],
 ) -> PerturbationResult:
     """The repair both removals share; `found` notes what params has to lose.
 
-    With nothing found and no zero coupling, params comes back unchanged.
-    `failure(new_spectrum, perturbed)` says why a repaired ring fails, or None.
+    Zero couplings become epsilon/2, then b_1 moves. With nothing found and no zero coupling,
+    params comes back unchanged, and its spectrum, which the caller has just solved, is the memo's.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not found and all(v != 0.0 for v in params.b):
-        perturbed, new_spectrum, notes = params, spectrum, []
-    else:
-        b_work, notes = _dezero_couplings(params.b, epsilon)
+    half = epsilon / 2.0
+    notes = [f"zero coupling b[{j}] replaced by {half}" for j, v in enumerate(params.b) if v == 0.0]
+    perturbed = params
+    if found or notes:
+        b_work = [v or half for v in params.b]
         b_new = _shift_coupling_product(params, b_work, forbidden.values, epsilon)
         perturbed = RingParams(params.n, params.a, tuple(b_new))
-        new_spectrum = eigenvalues(perturbed)
-        reason = failure(new_spectrum, perturbed)
-        if reason:
-            raise PerturbationBudgetError(reason)
     c = perturbed.coupling_product()
     return PerturbationResult(
         original=params,
         perturbed=perturbed,
         delta=max(abs(x - y) for x, y in zip(params.b, perturbed.b)),
-        achieved_gap=new_spectrum.min_gap(),
+        achieved_gap=eigenvalues(perturbed).min_gap(),
         removed=tuple(notes + found),
         forbidden=forbidden,
         margin=min(abs(c - v) for v in forbidden.values + (0.0,)),
@@ -332,19 +318,15 @@ def remove_multiple(
         for c in detect_multiple(spectrum, gap_tol)
     ]
     forbidden = multiplicity_forbidden_set(params)
-
-    def failure(new_spectrum: Spectrum, perturbed: RingParams) -> str | None:
-        achieved = new_spectrum.min_gap()
-        if achieved > gap_tol:
-            return None
-        c = perturbed.coupling_product()
+    result = _repair(params, epsilon, found, forbidden)
+    if result.perturbed is not params and not result.achieved_gap > gap_tol:
+        c = result.perturbed.coupling_product()
         nearest = min(forbidden.values, key=lambda v: abs(v - c), default=None)
-        return (
-            f"achieved gap {achieved:.3e} <= gap_tol {gap_tol:.3e}; "
+        raise PerturbationBudgetError(
+            f"achieved gap {result.achieved_gap:.3e} <= gap_tol {gap_tol:.3e}; "
             f"nearest forbidden value {nearest}"
         )
-
-    return _repair(params, epsilon, spectrum, found, forbidden, failure)
+    return result
 
 
 def remove_resonances(params: RingParams, k_max: int, epsilon: float) -> PerturbationResult:
@@ -360,9 +342,10 @@ def remove_resonances(params: RingParams, k_max: int, epsilon: float) -> Perturb
         for f in detect_resonance(spectrum, k_max, AXIS_TOL)
     ]
     forbidden = resonance_forbidden_set(params, k_max) | multiplicity_forbidden_set(params)
-
-    def failure(new_spectrum: Spectrum, perturbed: RingParams) -> str | None:
+    result = _repair(params, epsilon, found, forbidden)
+    if result.perturbed is not params:
+        new_spectrum = eigenvalues(result.perturbed)  # the repair's own solve, from the memo
         left = [(f.k, f.omega) for f in detect_resonance(new_spectrum, k_max, AXIS_TOL)]
-        return f"resonances remain after perturbation: {left}" if left else None
-
-    return _repair(params, epsilon, spectrum, found, forbidden, failure)
+        if left:
+            raise PerturbationBudgetError(f"resonances remain after perturbation: {left}")
+    return result

@@ -43,7 +43,7 @@ class HopfReport(Record):
 
     def not_a_hopf_point(self, need: str) -> NotAHopfPointError:
         """The error for `need`: omega^2, the identity gap at PRODUCT_REL_TOL, the trace."""
-        tol = PRODUCT_REL_TOL * max(1.0, abs(self.product_lhs), abs(self.product_rhs))
+        tol = PRODUCT_REL_TOL * max(abs(self.product_lhs), abs(self.product_rhs))
         return NotAHopfPointError(
             f"{need}: omega^2 = {self.omega_sq:.6g} (needs > 0), |lhs - rhs| = "
             f"{abs(self.product_lhs - self.product_rhs):.3e} (tolerance {tol:.3e}), "
@@ -61,7 +61,7 @@ def hopf_conditions_3(params: RingParams, rel_tol: float = PRODUCT_REL_TOL) -> H
     lhs = (a1 + a2) * (a1 + a3) * (a2 + a3)
     rhs = b1 * b2 * b3
     trace = a1 + a2 + a3
-    identity = abs(lhs - rhs) <= rel_tol * max(1.0, abs(lhs), abs(rhs))
+    identity = abs(lhs - rhs) <= rel_tol * max(abs(lhs), abs(rhs))
     positivity = omega_sq > 0
     sums = (a1 + a2, a1 + a3, a2 + a3)
     return HopfReport(
@@ -139,7 +139,7 @@ def detect_imaginary_pair(spectrum: Spectrum) -> ImaginaryPairDetection:
     if not distinct:
         return ImaginaryPairDetection(omega=None, warnings=())
     warnings = []
-    if any(abs(m) < AXIS_TOL for m in spectrum.eigenvalues):
+    if min(map(abs, spectrum.eigenvalues)) < AXIS_TOL * spectrum.spectral_radius():
         warnings.append("0:1 resonance: zero eigenvalue on the axis alongside a pair")
     omega = None
     if len(distinct) > 1:

@@ -220,6 +220,8 @@ class AdjacencyMatrix(Record):
     convention: str = field(default=ADJACENCY_CONVENTION, init=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise RingFormatError(f"adjacency matrix needs n >= 1, got n = {self.n}")
         rows = tuple(
             tuple(_integer(f"entry[{i}][{j}]", v) for j, v in enumerate(row))
             for i, row in enumerate(self.rows)

@@ -71,7 +71,7 @@ class PhaseProfile(Record):
 
 def _zero_tol(params: RingParams) -> float:
     """|a_j| at or below this counts as a_j = 0."""
-    return ZERO_TOL_FACTOR * max(1.0, max(abs(v) for v in params.a))
+    return ZERO_TOL_FACTOR * max(abs(v) for v in params.a)
 
 
 def wave_class_of(sectors) -> str:

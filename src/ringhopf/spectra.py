@@ -30,6 +30,14 @@ VECTOR_SWEEP_MIN_N roots on, a sweep moves all roots at once in numpy; both
 sweeps pass one backward-error gate. numpy is imported only where an array
 is built, so a smaller ring is solved without loading it. A repeat
 `eigenvalues` call on the same ring object returns the same Spectrum.
+
+Every tolerance is a dimensionless factor times the size of what it compares
+(a backward error; PAIR_TOL, the polish radius and AXIS_TOL times the largest
+|mu|; GAP_TOL_FACTOR the spectral radius, or the least positive float when
+that is 0; PRODUCT_REL_TOL the larger side of the n = 3 identity;
+ZERO_TOL_FACTOR max |a_j|), so `time_rescale` changes no answer. Two keep
+another form: REAL_VALUE_TOL's 1 + |v|, bit for bit while the dense Q_k route
+stays, and simulate's AMPLITUDE_FLOOR and DIVERGENCE_NORM, which bound the state.
 """
 
 from __future__ import annotations
@@ -95,6 +103,8 @@ class Spectrum(Record):
 
     def min_gap(self) -> float:
         """The least |mu - nu| over pairs; a row of the Re-sorted roots ends once dRe reaches it."""
+        if self.n < 2:
+            raise ValueError(f"min_gap needs at least two eigenvalues, got {self.n}")
         mus = sorted(self.eigenvalues, key=lambda m: m.real)
         best = min(abs(nu - mu) for mu, nu in zip(mus, mus[1:]))
         for i, mu in enumerate(mus):
@@ -378,13 +388,14 @@ def _polish_clusters(roots, a, c: float, threshold: float) -> list[complex]:
 
 
 def axis_pairs(roots, tol: float = AXIS_TOL) -> list[list[complex]]:
-    """Roots on the imaginary axis (|Re| < tol, Im > tol), grouped by frequency.
+    """Roots on the imaginary axis (|Re| < t, Im > t), grouped by frequency, t = tol max |root|.
 
-    Sorted by Im; a root joins the last group when its Im is within tol of
+    Sorted by Im; a root joins the last group when its Im is within t of
     that group's last member, so each group is one pair frequency.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol *= max(map(abs, roots), default=0.0)
     on_axis = [m for m in roots if abs(m.real) < tol and m.imag > tol]
     groups = []
     for m in sorted(on_axis, key=lambda m: m.imag):
@@ -480,24 +491,25 @@ def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
     )
 
 
-def _faddeev_leverrier(A: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial det(lambda*I - A), highest degree first.
+def _faddeev_leverrier(A) -> np.ndarray:
+    """Characteristic polynomial det(lambda*I - A) of an integer matrix, highest degree first.
 
-    For integer matrices the coefficients are integers; they are snapped
-    back to the nearest integer to cancel float round-off, which keeps
-    multiple zero eigenvalues exact even when the matrix is defective.
+    The recurrence runs in Python integers, where each division by k is exact, so defective
+    multiple zero eigenvalues come out exact; each coefficient is rounded once to a float.
     """
     import numpy as np
-    n = A.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    M = np.zeros_like(A)
+    A = np.array([[int(v) for v in row] for row in A], dtype=object)
+    n = len(A)
+    coeffs, M = [1], np.zeros((n, n), dtype=object)
     for k in range(1, n + 1):
-        M = A @ M + coeffs[k - 1] * np.eye(n)
-        coeffs[k] = -np.trace(A @ M) / k
-    snapped = np.round(coeffs)
-    close = np.abs(coeffs - snapped) < 1e-6 * (1.0 + np.abs(snapped))
-    return np.where(close, snapped, coeffs)
+        M = A @ M + coeffs[-1] * np.eye(n, dtype=object)
+        coeffs.append(-(A * M.T).sum() // k)  # c_k = -tr(A M_k)/k
+    try:
+        return np.array(coeffs, dtype=float)
+    except OverflowError:
+        bits = max(abs(c) for c in coeffs).bit_length()
+        raise RootFindingError(f"det(lambda*I - A) of the {n} x {n} adjacency matrix has a "
+                               f"coefficient of {bits} bits, beyond the float range") from None
 
 
 def adjacency_spectrum(adj: AdjacencyMatrix) -> Spectrum:
@@ -508,8 +520,7 @@ def adjacency_spectrum(adj: AdjacencyMatrix) -> Spectrum:
     networks with nilpotent blocks) come out exact instead of O(sqrt(eps)).
     """
     import numpy as np
-    A = adj.matrix()
-    coeffs = _faddeev_leverrier(A)
+    coeffs = _faddeev_leverrier(adj.rows)
     # np.roots strips the trailing zero coefficients and returns exact zero roots for them
     roots = _symmetrise_conjugates(np.roots(coeffs))
     # backward error in the dense coefficients: |q(z)| / sum |q_i| |z|^i;
@@ -519,9 +530,9 @@ def adjacency_spectrum(adj: AdjacencyMatrix) -> Spectrum:
     etas = [_backward_error(v, s) for v, s in zip(values, scales)]
     return Spectrum(
         eigenvalues=tuple(complex(m) for m in roots),
-        residuals=tuple(float(v) / np.abs(coeffs).max() for v in values),
+        residuals=tuple(float(v / np.abs(coeffs).max()) for v in values),
         pair_tolerance=PAIR_TOL,
-        tau=float(np.trace(A)),
+        tau=float(sum(row[i] for i, row in enumerate(adj.rows))),
         omega=_axis_omega(roots, AXIS_TOL),
         backward_error=float(max(etas)),
     )

@@ -351,3 +351,38 @@ def test_perturb_kmax_on_a_ring_whose_Q_k_overflows_is_one_error_line(tmp_path):
     assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
     errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and errors[0].startswith("error: Q_2 of a ring with n = 64 has 35 of 128")
+
+
+@pytest.mark.parametrize("argv", [["analyze", "{dir}"], ["tables", "--out", "{dir}"]])
+def test_a_directory_path_is_one_error_line(capsys, tmp_path, argv):
+    code, out, err = run(capsys, [arg.format(dir=tmp_path) for arg in argv])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.splitlines() == [f"error: [Errno 21] Is a directory: '{tmp_path}'"]
+
+
+def test_spectrum_of_an_empty_adjacency_matrix_names_n(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 0, "rows": []}')
+    code, out, err = run(capsys, ["spectrum", "--adjacency", str(path)])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.splitlines() == [f"error: {path}: adjacency matrix needs n >= 1, got n = 0"]
+
+
+def test_analyze_exact_b3_on_a_four_node_ring_errors(capsys, tmp_path):
+    path = tmp_path / "four.json"
+    save(RingParams(4, (1.0, -2.0, -3.0, -1.0), (1.0, 1.0, 1.0, 1.0)), path)
+    code, out, err = run(capsys, ["analyze", str(path), "--exact-b3"])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.splitlines() == ["error: --exact-b3 applies to n=3 rings only"]
+
+
+def test_tables_text_marks_the_discrepancies(capsys):
+    code, out, _ = run(capsys, ["tables", "--discrepancies"])
+    assert code == EXIT_FOUND
+    marked = [line for line in out.splitlines() if "differs" in line]
+    assert marked == [
+        "   + + - |     2      1      3   [differs from printed 2/3/1]",
+        "   + + - |     3      4      2   [differs from printed 3/2/4]",
+        "   + + - |  pi/2      1      3   [differs from printed pi/2/3/1]",
+        "   + + - | 3pi/2      4      2   [differs from printed 3pi/2/2/4]",
+    ]

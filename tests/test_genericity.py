@@ -23,6 +23,7 @@ from ringhopf.genericity import (
 )
 from ringhopf.model import AdjacencyMatrix, RingParams
 from ringhopf.spectra import RootFindingError, a_poly_coeffs, adjacency_spectrum, eigenvalues
+from ringhopf.spectra import Spectrum
 
 
 def test_detect_double_eigenvalue():
@@ -602,3 +603,31 @@ def test_resonance_set_that_overflows_is_a_named_error():
                 call()
         assert eigenvalues(ring).n == 64
         assert remove_multiple(ring, 1e-3).perturbed == ring
+
+
+def test_resonance_forbidden_set_rejects_k_max_below_2():
+    with pytest.raises(ValueError, match=r"^k_max must be >= 2, got 1$"):
+        resonance_forbidden_set(oracles.REFERENCE_RING, 1)
+
+
+def test_remove_multiple_measures_the_repaired_gap_once(monkeypatch, solves):
+    ring, _ = oracles.construct_grid_double_ring(8, np.random.default_rng(8))
+    gaps = []
+    min_gap = Spectrum.min_gap
+    monkeypatch.setattr(Spectrum, "min_gap", lambda s: gaps.append(s) or min_gap(s))
+    result = remove_multiple(ring, 1e-3)
+    assert (len(gaps), solves()) == (1, 2)
+    assert result.perturbed is not ring and gaps[0] is eigenvalues(result.perturbed)
+    assert result.achieved_gap == gaps[0].min_gap() > 0
+
+
+def test_all_zero_spectra_cluster_at_a_positive_default_gap_tol():
+    ring = RingParams(3, (0.0, 0.0, 0.0), (0.0, 1.0, 1.0))
+    spectrum = eigenvalues(ring)
+    assert set(spectrum.eigenvalues) == {0j} and 0 < genericity.default_gap_tol(spectrum)
+    assert [c.multiplicity for c in detect_multiple(spectrum)] == [3]
+    nilpotent = adjacency_spectrum(AdjacencyMatrix(3, ((0, 1, 1), (0, 0, 1), (0, 0, 0))))
+    assert [c.multiplicity for c in detect_multiple(nilpotent)] == [3]
+    result = remove_multiple(ring, 1e-3)
+    assert result.removed[0] == "zero coupling b[0] replaced by 0.0005"
+    assert result.achieved_gap > 0

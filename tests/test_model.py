@@ -257,3 +257,28 @@ def test_integral_floats_load_as_integers(tmp_path):
 def test_adjacency_rejects_a_fractional_entry():
     with pytest.raises(RingFormatError, match=r"entry\[1\]\[0\] is not an integer: 0\.5"):
         AdjacencyMatrix(2, ((0, 1), (0.5, 0)))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_adjacency_rejects_fewer_than_one_node(n):
+    with pytest.raises(RingFormatError, match=rf"^adjacency matrix needs n >= 1, got n = {n}$"):
+        AdjacencyMatrix(n, ())
+
+
+def test_family_rejects_a_cubic_of_the_wrong_length():
+    ring = RingParams(3, (1.0, -2.0, -3.0), (1.0, 1.0, -10.0))
+    with pytest.raises(RingFormatError, match=r"^cubic has 2 entries, expected 3$"):
+        AdmissibleOdeFamily(ring, cubic=(-1.0, -1.0))
+
+
+def test_family_jacobian_defaults_to_its_own_lambda():
+    ring = RingParams(3, (1.0, -2.0, -3.0), (1.0, 1.0, -10.0))
+    family = AdmissibleOdeFamily(ring, lam=0.25)
+    assert np.array_equal(family.jacobian(), ring.jacobian() + 0.25 * np.eye(3))
+
+
+def test_load_rejects_a_top_level_list(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2, 3]")
+    with pytest.raises(RingFormatError, match=r": top-level value must be an object$"):
+        load_ring(path)

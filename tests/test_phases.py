@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from ringhopf.hopf import NotAHopfPointError
+from ringhopf.hopf import solve_coupling_for_hopf
 from ringhopf.model import RingParams, time_rescale
 from ringhopf.phases import (
     PRINTED_TABLES,
@@ -284,3 +285,26 @@ def test_phase_shifts_reject_omega_that_is_not_finite_and_nonzero(omega, force):
     # force skips the eigenvalue check, which was the only one to reject NaN
     with pytest.raises(ValueError, match=rf"^omega must be finite and nonzero, got {omega}$"):
         phase_shifts(oracles.REFERENCE_RING, omega, force=force)
+
+
+def test_quadrant_of_ratio_rejects_a_zero_omega_sign():
+    with pytest.raises(ValueError, match=r"^omega_sign must be \+1 or -1$"):
+        quadrant_of_ratio(1.0, 1.0, omega_sign=0)
+
+
+def test_classify_case_rejects_a_four_node_ring():
+    with pytest.raises(ValueError, match=r"^case classification applies to n=3 rings only$"):
+        classify_case(RingParams(4, (1.0, -2.0, -3.0, -1.0), (1.0, 1.0, 1.0, 1.0)))
+
+
+def test_classify_case_rejects_two_zero_diagonal_entries_at_a_hopf_point():
+    # |a_1|, |a_2| <= ZERO_TOL_FACTOR max |a_j|, yet omega^2 = a1 a2 + (a1 + a2) a3 > 0
+    a = (-1e-11, -1e-11, -1.0)
+    ring = RingParams(3, a, (1.0, 1.0, solve_coupling_for_hopf(a, 1.0, 1.0)))
+    with pytest.raises(ValueError, match=r"^two zero diagonal entries force omega = 0$"):
+        classify_case(ring)
+
+
+def test_table_lookup_rejects_an_unknown_case():
+    with pytest.raises(ValueError, match=r"^case must be A, B or C, got 'D'$"):
+        table_lookup("D", (1, 1, 1))

@@ -397,3 +397,9 @@ def test_no_cycle_messages_name_value_and_threshold():
         r"11 needed\) at lambda=0\.1$",
     ):
         measure_cycle(short)
+
+
+def test_find_limit_cycle_without_an_axis_pair_cannot_seed():
+    family = AdmissibleOdeFamily(RingParams(3, (-1.0, -2.0, -3.0), (0.5, 0.5, 0.5)))
+    with pytest.raises(NoCycleError, match=r"^the base ring has no imaginary eigenvalue pair; cannot seed"):
+        find_limit_cycle(family, lam=0.1)

@@ -803,3 +803,43 @@ def test_eigenvector_for_runs_without_numpy():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spectra.__file__))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines() == ["[(1+0j), (1+0j), (1+0j), (1+0j)]", "False"]
+
+
+def test_min_gap_of_fewer_than_two_eigenvalues_names_the_count():
+    s = adjacency_spectrum(AdjacencyMatrix(1, ((2,),)))
+    assert s.eigenvalues == (2.0 + 0.0j,)
+    with pytest.raises(ValueError, match=r"^min_gap needs at least two eigenvalues, got 1$"):
+        s.min_gap()
+
+
+def test_adjacency_residuals_are_floats():
+    s = adjacency_spectrum(AdjacencyMatrix(6, oracles.ADJ_6))
+    assert all(type(r) is float for r in s.residuals)
+    assert "np.float64" not in repr(s)
+
+
+def test_faddeev_leverrier_equals_the_sympy_characteristic_polynomial():
+    # from n = 20 on the coefficients pass 2**53: the float of the exact integer is wanted
+    sympy = pytest.importorskip("sympy")
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 4, 5, 8, 12, 16, 20):
+        for _ in range(6):
+            rows = rng.integers(0, 10, (n, n))
+            if n > 2:
+                rows[:, int(rng.integers(n))] = 0  # a zero eigenvalue
+            exact = sympy.Matrix(rows.tolist()).charpoly().all_coeffs()
+            got = spectra._faddeev_leverrier(AdjacencyMatrix(n, rows.tolist()).matrix())
+            assert got.dtype == np.float64
+            assert got.tolist() == [float(int(c)) for c in exact]
+
+
+def test_faddeev_leverrier_names_a_coefficient_beyond_the_float_range():
+    big = 10**120
+    adj = AdjacencyMatrix(3, ((big, 0, 0), (0, big, 0), (0, 0, big)))
+    with pytest.raises(RootFindingError, match=r"^det\(lambda\*I - A\) of the 3 x 3 adjacency matrix "
+                       r"has a coefficient of 1196 bits, beyond the float range$"):
+        adjacency_spectrum(adj)
+
+
+def test_clusters_of_one_root_are_none():
+    assert spectra._clusters([1.0 + 0.0j], 0.5) == []
