@@ -206,13 +206,12 @@ def detect_resonance(spectrum: Spectrum, k_max: int, tol: float = AXIS_TOL) -> l
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     freqs = [group[0].imag for group in axis_pairs(spectrum.eigenvalues, tol)]
-    tol *= spectrum.spectral_radius()
     flags = []
-    if freqs and any(abs(m) < tol for m in spectrum.eigenvalues):
+    if freqs and min(map(abs, spectrum.eigenvalues)) < tol * freqs[0]:
         flags.append(ResonanceFlag(k=0, omega=float(freqs[0])))
     for w in freqs:
         for k in range(2, k_max + 1):
-            if any(abs(w2 - k * w) < tol * (1.0 + k) for w2 in freqs):
+            if any(abs(w2 - k * w) < tol * (k + 1) * w for w2 in freqs):
                 flags.append(ResonanceFlag(k=k, omega=float(w)))
     return flags
 

@@ -139,7 +139,7 @@ def detect_imaginary_pair(spectrum: Spectrum) -> ImaginaryPairDetection:
     if not distinct:
         return ImaginaryPairDetection(omega=None, warnings=())
     warnings = []
-    if min(map(abs, spectrum.eigenvalues)) < AXIS_TOL * spectrum.spectral_radius():
+    if min(map(abs, spectrum.eigenvalues)) < AXIS_TOL * distinct[0][0].imag:
         warnings.append("0:1 resonance: zero eigenvalue on the axis alongside a pair")
     omega = None
     if len(distinct) > 1:
@@ -183,7 +183,8 @@ def crossing_check(
         nearest = complex(min(eigs0, key=lambda m: abs(m.real)))
         raise NotAHopfPointError(
             f"no imaginary pair detected at lambda0={lambda0}: the eigenvalue nearest the axis "
-            f"is {nearest:.6g}, |Re| {abs(nearest.real):.3e} against AXIS_TOL {AXIS_TOL:.0e}"
+            f"is {nearest:.6g}, |Re| {abs(nearest.real):.3e} against AXIS_TOL |mu| "
+            f"{AXIS_TOL * abs(nearest):.3e}"
         )
     mu0 = min((m for group in pairs for m in group), key=lambda m: abs(m.real))
 

@@ -32,9 +32,10 @@ is built, so a smaller ring is solved without loading it. A repeat
 `eigenvalues` call on the same ring object returns the same Spectrum.
 
 Every tolerance is a dimensionless factor times the size of what it compares
-(a backward error; PAIR_TOL, the polish radius and AXIS_TOL times the largest
-|mu|; GAP_TOL_FACTOR the spectral radius, or the least positive float when
-that is 0; PRODUCT_REL_TOL the larger side of the n = 3 identity;
+(a backward error; PAIR_TOL and the polish radius the largest |mu|; AXIS_TOL
+each root's own |mu|, and in the 0:1 and k:1 tests the pair frequency;
+GAP_TOL_FACTOR the spectral radius, or the least positive float when that
+is 0; PRODUCT_REL_TOL the larger side of the n = 3 identity;
 ZERO_TOL_FACTOR max |a_j|), so `time_rescale` changes no answer. Two keep
 another form: REAL_VALUE_TOL's 1 + |v|, bit for bit while the dense Q_k route
 stays, and simulate's AMPLITUDE_FLOOR and DIVERGENCE_NORM, which bound the state.
@@ -388,18 +389,17 @@ def _polish_clusters(roots, a, c: float, threshold: float) -> list[complex]:
 
 
 def axis_pairs(roots, tol: float = AXIS_TOL) -> list[list[complex]]:
-    """Roots on the imaginary axis (|Re| < t, Im > t), grouped by frequency, t = tol max |root|.
+    """Roots on the imaginary axis (|Re mu| < tol |mu| < Im mu), grouped by frequency.
 
-    Sorted by Im; a root joins the last group when its Im is within t of
-    that group's last member, so each group is one pair frequency.
+    Each root is judged at its own size. Sorted by Im; a root joins the last group when its Im
+    is within tol |mu| of that group's last member, so each group is one pair frequency.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    tol *= max(map(abs, roots), default=0.0)
-    on_axis = [m for m in roots if abs(m.real) < tol and m.imag > tol]
+    on_axis = [m for m in roots if abs(m.real) < tol * abs(m) < m.imag]
     groups = []
     for m in sorted(on_axis, key=lambda m: m.imag):
-        if groups and m.imag - groups[-1][-1].imag <= tol:
+        if groups and m.imag - groups[-1][-1].imag <= tol * abs(m):
             groups[-1].append(m)
         else:
             groups.append([m])
@@ -494,16 +494,20 @@ def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
 def _faddeev_leverrier(A) -> np.ndarray:
     """Characteristic polynomial det(lambda*I - A) of an integer matrix, highest degree first.
 
-    The recurrence runs in Python integers, where each division by k is exact, so defective
+    The recurrence runs in exact integers, where each division by k is exact, so defective
     multiple zero eigenvalues come out exact; each coefficient is rounded once to a float.
     """
     import numpy as np
-    A = np.array([[int(v) for v in row] for row in A], dtype=object)
-    n = len(A)
-    coeffs, M = [1], np.zeros((n, n), dtype=object)
+    rows = [[int(v) for v in row] for row in A]
+    n, r = len(rows), max(sum(map(abs, row)) for row in rows)  # r: the row-sum norm of A
+    A = np.array(rows, dtype=np.int64 if n * r < 2**62 else object)
+    coeffs, M = [1], np.zeros((n, n), dtype=A.dtype)
     for k in range(1, n + 1):
-        M = A @ M + coeffs[-1] * np.eye(n, dtype=object)
-        coeffs.append(-(A * M.T).sum() // k)  # c_k = -tr(A M_k)/k
+        # int64 while n r m < 2^62 bounds every partial sum, m = r |M_(k-1)| + |c_(k-1)| >= |M_k|
+        if A.dtype != object and n * r * (r * int(abs(M).max()) + abs(coeffs[-1])) >= 2**62:
+            A, M = A.astype(object), M.astype(object)
+        M = A @ M + coeffs[-1] * np.eye(n, dtype=A.dtype)
+        coeffs.append(-int((A * M.T).sum()) // k)  # c_k = -tr(A M_k)/k
     try:
         return np.array(coeffs, dtype=float)
     except OverflowError:

@@ -20,15 +20,25 @@ from ringhopf.hopf import NotAHopfPointError, detect_imaginary_pair, hopf_condit
 from ringhopf.model import AdmissibleOdeFamily, RingParams, save, time_rescale
 from ringhopf.phases import phase_shifts
 from ringhopf.simulate import find_limit_cycle
-from ringhopf.spectra import eigenvalues
+from ringhopf.spectra import Spectrum, eigenvalues
 
 NON_HOPF_RING = RingParams(3, (1.0, -2.0, -3.0), (1.0, 1.0, -7.0))
+# two rings whose roots span nine decades, so no one scale fits every root: a pair near
+# -1e-3 +- i off the axis beside a root near -1e6; and a 4-node ring with a pair on the axis
+# at +-1e-3 i beside a root at -1e6, its coupling product c = -A(i omega) set as in
+# `construct_hopf_ring` (at n = 3 so low a pair needs a_2 + a_3 to cancel)
+DAMPED_BESIDE_1E6 = RingParams(3, (-1e6, -1e-3, -1e-3), (1.0, 1.0, -1e6))
+_A = (-1e6, -1e-3, -5e-4, -1e-3 / 3)
+_C = -oracles.eval_A(_A, 1j * oracles.imag_axis_omegas(_A)[0]).real
+AXIS_BESIDE_1E6 = oracles.ring_with_product(4, _A, _C, np.random.default_rng(7))
 RINGS = {
     "reference": oracles.REFERENCE_RING,
     "second": oracles.SECOND_RING,
     "non_hopf": NON_HOPF_RING,
     "hopf_5": oracles.construct_hopf_ring(5, np.random.default_rng(5))[0],
     "grid_double": oracles.construct_grid_double_ring(6, np.random.default_rng(6))[0],
+    "damped_beside_1e6": DAMPED_BESIDE_1E6,
+    "axis_beside_1e6": AXIS_BESIDE_1E6,
 }
 DELTAS = (2.0**-40, 1e-11, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 2.0**40)
 
@@ -96,6 +106,9 @@ def test_the_test_rings_cover_each_answer():
     assert want["hopf_5"]["omega"] is not None
     assert want["grid_double"]["multiplicities"] == [2]
     assert not want["grid_double"]["returns_itself"] and want["reference"]["returns_itself"]
+    assert want["damped_beside_1e6"]["omega"] is None
+    assert want["axis_beside_1e6"]["omega"] == pytest.approx(1e-3, rel=1e-6)
+    assert want["axis_beside_1e6"]["warnings"] == ()
 
 
 @settings(max_examples=40)
@@ -143,3 +156,40 @@ def test_not_a_hopf_point_names_the_identity_tolerance_at_the_ring_scale():
     ring = time_rescale(NON_HOPF_RING, 1e-6)
     with pytest.raises(NotAHopfPointError, match=r"\|lhs - rhs\| = 3\.000e-18 \(tolerance 1\.000e-26\)"):
         sign_constraints(ring)
+
+
+def test_each_root_is_judged_on_the_axis_at_its_own_size():
+    # a band set by the largest root (1e-8 * 1e6 = 1e-2) took the damped pair for an axis pair
+    # and lost the true one at 1e-3 i
+    s = eigenvalues(DAMPED_BESIDE_1E6)
+    assert max(map(abs, s.eigenvalues)) > 1e6 and s.omega is None
+    assert detect_imaginary_pair(s).omega is None
+    s = eigenvalues(AXIS_BESIDE_1E6)
+    assert max(map(abs, s.eigenvalues)) >= 1e6
+    assert detect_imaginary_pair(s).omega == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_a_small_root_beside_a_large_one_is_no_zero_eigenvalue():
+    # the 0:1 test measures |mu| against the pair frequency, not the spectral radius (1e6)
+    def spectrum(small):
+        roots = (-1e6, small, 1j, -1j)
+        return Spectrum(eigenvalues=roots, residuals=(0.0,) * 4, pair_tolerance=1e-8, tau=-1e6, omega=1.0)
+
+    assert detect_imaginary_pair(spectrum(-1e-3)).warnings == ()
+    assert detect_resonance(spectrum(-1e-3), 3) == []
+    assert detect_imaginary_pair(spectrum(0.0)).warnings == (
+        "0:1 resonance: zero eigenvalue on the axis alongside a pair",
+    )
+    assert [(f.k, f.omega) for f in detect_resonance(spectrum(0.0), 3)] == [(0, 1.0)]
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1.0, 1e9])
+def test_k_to_1_resonances_compare_frequencies_at_their_own_size(delta):
+    def spectrum(w, w2):
+        roots = (-delta, 1j * w, -1j * w, 1j * w2, -1j * w2)
+        return Spectrum(eigenvalues=roots, residuals=(0.0,) * 5, pair_tolerance=1e-8, tau=-delta, omega=w)
+
+    # 2:1 to 5e-10 relative is a resonance; 5:2 is none, however small the frequencies
+    resonant = detect_resonance(spectrum(delta, 2 * delta * (1 + 5e-10)), 3)
+    assert [(f.k, f.omega / delta) for f in resonant] == [(2, 1.0)]
+    assert detect_resonance(spectrum(delta, 2.5 * delta), 3) == []
