@@ -15,8 +15,13 @@ without dense coefficients. c is real, so of the Q_k roots only those where
 The multiplicity set of the last diagonal is kept, keyed on the exact bits
 of a, since both removals ask for it. The roots of Q_2 ... Q_kmax come from
 one eigvals call on their stacked companion matrices, equal bit for bit to
-np.roots of each, and -A is evaluated in product form at all of them in
-one pass.
+np.roots of each. For each k, -A is evaluated in product form at the roots
+of Q_k in the dtype np.roots gives them, so a zero product keeps its sign.
+
+No ring has a k:1 or 0:1 resonance exactly on the imaginary axis: every
+eigenvalue mu has A(mu) = -c, and |A(iw)|^2 = prod(a_j^2 + w^2) strictly
+increases in |w|, so |A(ikw)| > |A(iw)| > |A(0)| for w != 0. detect_resonance
+serves adjacency spectra and pairs within the modelled axis tolerance.
 
 So a single adjustment of b_1, after replacing any zero couplings, steers c
 into the largest forbidden-value-free subinterval reachable within the
@@ -28,7 +33,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import compress
 
 from .model import Record, RingParams, require_valid
 from .spectra import AXIS_TOL, RootFindingError, Spectrum, _clusters, _critical_point, a_poly_coeffs
@@ -106,32 +110,6 @@ def _roots(polys) -> list[np.ndarray]:
     return out
 
 
-def _real_forbidden_values(root_sets, a, sources) -> ForbiddenSet:
-    """-A(lambda) at each root where it is real; root_sets[i]'s are sourced (*sources[i], lambda).
-
-    One product pass covers every set.
-    """
-    import numpy as np
-    lam = np.concatenate(root_sets)
-    values = -np.prod(np.asarray(a) - lam[:, None], axis=1)
-    if lam.dtype.kind == "c":
-        start = 0
-        for roots in root_sets:
-            if roots.dtype.kind != "c":
-                # np.roots returned this set real: multiplied in real arithmetic, as
-                # on its own, a zero factor keeps the sign of its product
-                values[start : start + len(roots)] = -np.prod(np.asarray(a) - roots[:, None], axis=1)
-            start += len(roots)
-    keep = np.abs(values.imag) < REAL_VALUE_TOL * (1.0 + np.abs(values))
-    labels = [source for source, roots in zip(sources, root_sets) for _ in range(len(roots))]
-    return ForbiddenSet(
-        values=tuple(values.real[keep].tolist()),
-        sources=tuple(
-            (*source, complex(x)) for source, x in zip(compress(labels, keep.tolist()), lam[keep])
-        ),
-    )
-
-
 def multiplicity_forbidden_set(params: RingParams) -> ForbiddenSet:
     """Coupling products c at which p = A + c has a multiple root: -A, in product form, at
     the n - 1 roots of p' = A' in increasing order, which are m - 1 copies of each a_j repeated
@@ -189,10 +167,15 @@ def resonance_forbidden_set(params: RingParams, k_max: int) -> ForbiddenSet:
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     require_valid(params)
-    A = a_poly_coeffs(params.a)
-    ks = range(2, k_max + 1)
-    roots = _roots([_resonance_coeffs(A, k) for k in ks])
-    return _real_forbidden_values(roots, params.a, [("resonance_root", k) for k in ks])
+    import numpy as np
+    A, a = a_poly_coeffs(params.a), np.asarray(params.a)
+    values, sources = [], []
+    for k, lam in enumerate(_roots([_resonance_coeffs(A, k) for k in range(2, k_max + 1)]), 2):
+        v = -np.prod(a - lam[:, None], axis=1)
+        keep = np.abs(v.imag) < REAL_VALUE_TOL * (1.0 + np.abs(v))
+        values += v.real[keep].tolist()
+        sources += [("resonance_root", k, complex(x)) for x in lam[keep]]
+    return ForbiddenSet(tuple(values), tuple(sources))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ disagrees with the rule, and lookups there carry a discrepancy annotation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -108,7 +107,7 @@ def phase_shifts(params: RingParams, omega: float, force: bool = False) -> Phase
     sectors = []
     for a_j, b_j in zip(params.a, params.b):
         ratio = (1j * omega - a_j) / b_j
-        arg = cmath.phase(ratio) % TWO_PI
+        arg = math.atan2(ratio.imag, ratio.real) % TWO_PI
         theta.append((TWO_PI - arg) % TWO_PI)
         sectors.append(quadrant_of_ratio(a_j, b_j, omega_sign, zero_tol=zero_tol))
     case = None

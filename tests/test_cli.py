@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -132,6 +133,12 @@ def test_phases_force_override(capsys, reference_ring_file):
     )
     assert code == EXIT_FOUND
     assert len(json.loads(out)["theta"]) == 3
+
+
+def test_phases_force_at_an_omega_whose_angle_underflows(capsys, reference_ring_file):
+    code, out, _ = run(capsys, ["phases", reference_ring_file, "--omega", "5e-324", "--force"])
+    assert code == EXIT_FOUND
+    assert json.loads(out)["theta"] == [math.pi, 0.0, math.pi]
 
 
 def test_perturb_double_ring(capsys, tmp_path):

@@ -26,6 +26,7 @@ def test_layer_timings_run_at_n_3():
         "remove_multiple",
         "remove_resonances, k <= 3",
         "RK4 step",
+        "find_limit_cycle",
     ]
     assert all(n == 3 and 0 < us < 1e6 and failed == 0 for _, n, us, failed in rows)
 
@@ -37,8 +38,9 @@ def test_layer_timings_solve_on_every_call(solves):
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     layers.main(["--sizes", "3", "--repeat", "2"])
-    # per pass: both eigenvalues sweeps and the two removals, none of whose rings is repaired
-    assert solves() == 2 * 4 * layers.RINGS
+    # per pass: both eigenvalues sweeps and the two removals, none of whose rings is repaired;
+    # the cycle hunt solves its base ring once, and its second pass finds it in the memo
+    assert solves() == 2 * 4 * layers.RINGS + 1
 
 
 def test_forbidden_set_rows_compute_on_every_call(eigensolves, critical_points):
@@ -62,8 +64,8 @@ def test_cli_rows_time_every_subcommand_as_a_child():
     cpus = os.sched_getaffinity(0)
     rows = layers.main(["--sizes", "3", "--repeat", "1", "--cli", "1"])
     assert os.sched_getaffinity(0) == cpus
-    assert len(rows) == 9 + 9  # the default rows come first, unchanged
-    cli_rows = rows[9:]
+    assert len(rows) == 10 + 9  # the default rows come first, unchanged
+    cli_rows = rows[10:]
     assert [name for name, *_ in cli_rows] == [
         "python -c pass",
         "python -c 'import numpy'",

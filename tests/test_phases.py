@@ -90,6 +90,14 @@ def test_phase_shifts_force_overrides_check():
     assert len(profile.theta) == 3
 
 
+def test_phase_shifts_take_an_angle_that_underflows_to_zero():
+    # the ratio for a_2 = -2 is 2 + 5e-324i, whose angle rounds to 0
+    profile = phase_shifts(oracles.REFERENCE_RING, 5e-324, force=True)
+    assert profile.theta == (math.pi, 0.0, math.pi)
+    assert [s.quadrant for s in profile.ratio_quadrant] == [2, 1, 3]
+    assert profile.case_label == "B"
+
+
 def test_phase_shifts_reject_zero_coupling():
     r = RingParams(3, (1.0, -2.0, -3.0), (0.0, 1.0, -10.0))
     with pytest.raises(ZeroCouplingError):

@@ -5,8 +5,9 @@
 For each ring size, the same RINGS random rings (a_j, b_j ~ U(-3, 3), fixed
 seed) go through `eigenvalues` on each Aberth sweep, `char_poly`, the two
 forbidden sets (k <= 3), `remove_multiple` and `remove_resonances`, and
-RINGS rings with an axis pair through `phase_shifts`; one RK4 step is timed
-on a 3-node family. Each batch holds distinct rings, so no memo answers.
+RINGS rings with an axis pair through `phase_shifts`; one RK4 step and one
+`find_limit_cycle` hunt (settle time 150) are timed on a 3-node family.
+Each batch holds distinct rings, so no memo answers.
 Each figure is the best of --repeat passes of the mean time per call, in
 microseconds; a layer that raised on some rings says on how many.
 With --cli K, each subcommand also runs K times as a child process on a
@@ -118,6 +119,8 @@ def measure(sizes, repeat: int) -> list[tuple[str, int, float, int]]:
     x0 = (0.1, 0.0, 0.0)
     seconds, failed = best_per_call(lambda _: simulate.integrate(RK4_FAMILY, x0, t_end, h), [None], repeat)
     rows.append(("RK4 step", 3, seconds / RK4_STEPS, failed))
+    hunt = lambda _: simulate.find_limit_cycle(RK4_FAMILY, 0.1, settle_time=150.0)
+    rows.append(("find_limit_cycle", 3, *best_per_call(hunt, [None], repeat)))
     return [(name, n, seconds * 1e6, failed) for name, n, seconds, failed in rows]
 
 
