@@ -31,6 +31,7 @@ perturbation budget.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -127,6 +128,14 @@ def multiplicity_forbidden_set(params: RingParams) -> ForbiddenSet:
     return _memo[1]
 
 
+def _check_order(name: str, k) -> None:
+    """ValueError naming k unless it is an integral number >= 2, numpy's included, not a bool."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"{name} must be an integer >= 2, got {k!r}")
+    if k < 2:
+        raise ValueError(f"{name} must be >= 2, got {k}")
+
+
 def _resonance_coeffs(A, k: int) -> np.ndarray:
     import numpy as np
     A = np.asarray(A)
@@ -153,8 +162,7 @@ def resonance_poly(params: RingParams, k: int) -> np.ndarray:
     couplings.
     """
     require_valid(params)
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k}")
+    _check_order("k", k)
     return _resonance_coeffs(a_poly_coeffs(params.a), k)
 
 
@@ -164,8 +172,7 @@ def resonance_forbidden_set(params: RingParams, k_max: int) -> ForbiddenSet:
     Every Q_k companion has size 2n - 1 unless a zero a_j strips a trailing
     coefficient, so one eigvals call usually solves them all.
     """
-    if k_max < 2:
-        raise ValueError(f"k_max must be >= 2, got {k_max}")
+    _check_order("k_max", k_max)
     require_valid(params)
     import numpy as np
     A, a = a_poly_coeffs(params.a), np.asarray(params.a)
@@ -184,17 +191,16 @@ class ResonanceFlag(Record):
     omega: float
 
 
-def detect_resonance(spectrum: Spectrum, k_max: int, tol: float = AXIS_TOL) -> list[ResonanceFlag]:
-    """k:1 resonances among axis pairs, plus the 0:1 flag for zero eigenvalues."""
-    if k_max < 2:
-        raise ValueError(f"k_max must be >= 2, got {k_max}")
-    freqs = [group[0].imag for group in axis_pairs(spectrum.eigenvalues, tol)]
+def detect_resonance(spectrum: Spectrum, k_max: int) -> list[ResonanceFlag]:
+    """k:1 resonances among axis pairs, plus the 0:1 flag for zero eigenvalues, at AXIS_TOL."""
+    _check_order("k_max", k_max)
+    freqs = [group[0].imag for group in axis_pairs(spectrum.eigenvalues)]
     flags = []
-    if freqs and min(map(abs, spectrum.eigenvalues)) < tol * freqs[0]:
+    if freqs and min(map(abs, spectrum.eigenvalues)) < AXIS_TOL * freqs[0]:
         flags.append(ResonanceFlag(k=0, omega=float(freqs[0])))
     for w in freqs:
         for k in range(2, k_max + 1):
-            if any(abs(w2 - k * w) < tol * (k + 1) * w for w2 in freqs):
+            if any(abs(w2 - k * w) < AXIS_TOL * (k + 1) * w for w2 in freqs):
                 flags.append(ResonanceFlag(k=k, omega=float(w)))
     return flags
 
@@ -319,15 +325,12 @@ def remove_resonances(params: RingParams, k_max: int, epsilon: float) -> Perturb
     b_1 adjustment clears all of them simultaneously.
     """
     spectrum = eigenvalues(params)
-    found = [
-        f"{f.k}:1 resonance at omega={f.omega:.6g}"
-        for f in detect_resonance(spectrum, k_max, AXIS_TOL)
-    ]
+    found = [f"{f.k}:1 resonance at omega={f.omega:.6g}" for f in detect_resonance(spectrum, k_max)]
     forbidden = resonance_forbidden_set(params, k_max) | multiplicity_forbidden_set(params)
     result = _repair(params, epsilon, found, forbidden)
     if result.perturbed is not params:
         new_spectrum = eigenvalues(result.perturbed)  # the repair's own solve, from the memo
-        left = [(f.k, f.omega) for f in detect_resonance(new_spectrum, k_max, AXIS_TOL)]
+        left = [(f.k, f.omega) for f in detect_resonance(new_spectrum, k_max)]
         if left:
             raise PerturbationBudgetError(f"resonances remain after perturbation: {left}")
     return result

@@ -56,7 +56,8 @@ def _require_finite(**entries) -> None:
 def _integer(name: str, v) -> int:
     """v as an int; RingFormatError naming it unless v is an integral number, not a bool."""
     if isinstance(v, bool) or not (
-        isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+        # int first, which isinstance settles at once: the ABC check is slow, and every ring checks n
+        isinstance(v, (int, numbers.Integral)) or isinstance(v, float) and v.is_integer()
     ):
         raise RingFormatError(f"{name} is not an integer: {v!r}")
     return int(v)
@@ -78,6 +79,7 @@ class RingParams(Record):
     b: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer("n", self.n))
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         object.__setattr__(self, "b", tuple(float(v) for v in self.b))
         if len(self.a) != self.n or len(self.b) != self.n:
@@ -220,6 +222,7 @@ class AdjacencyMatrix(Record):
     convention: str = field(default=ADJACENCY_CONVENTION, init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer("n", self.n))
         if self.n < 1:
             raise RingFormatError(f"adjacency matrix needs n >= 1, got n = {self.n}")
         rows = tuple(
@@ -272,7 +275,7 @@ def _numbers(key: str, values) -> tuple:
 
 def _ring_from(doc: dict) -> RingParams:
     return RingParams(
-        n=_integer("n", _get(doc, "n")),
+        n=_get(doc, "n"),
         a=_numbers("a", _get(doc, "a")),
         b=_numbers("b", _get(doc, "b")),
     )
@@ -286,7 +289,7 @@ def _family_from(doc: dict) -> AdmissibleOdeFamily:
 
 def _adjacency_from(doc: dict) -> AdjacencyMatrix:
     return AdjacencyMatrix(
-        n=_integer("n", _get(doc, "n")),
+        n=_get(doc, "n"),
         rows=tuple(tuple(r) for r in _get(doc, "rows")),
     )
 

@@ -36,9 +36,10 @@ Every tolerance is a dimensionless factor times the size of what it compares
 each root's own |mu|, and in the 0:1 and k:1 tests the pair frequency;
 GAP_TOL_FACTOR the spectral radius, or the least positive float when that
 is 0; PRODUCT_REL_TOL the larger side of the n = 3 identity;
-ZERO_TOL_FACTOR max |a_j|), so `time_rescale` changes no answer. Two keep
-another form: REAL_VALUE_TOL's 1 + |v|, bit for bit while the dense Q_k route
-stays, and simulate's AMPLITUDE_FLOOR and DIVERGENCE_NORM, which bound the state.
+ZERO_TOL_FACTOR max |a_j|), so `time_rescale` changes no answer. No public
+function takes RESIDUAL_TOL or AXIS_TOL as an argument. Two keep another form:
+REAL_VALUE_TOL's 1 + |v|, bit for bit while the dense Q_k route stays, and
+simulate's AMPLITUDE_FLOOR and DIVERGENCE_NORM, which bound the state.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ PAIR_TOL = 1e-8
 AXIS_TOL = 1e-8
 EIGENVECTOR_RESIDUAL_TOL = 1e-9
 VECTOR_SWEEP_MIN_N = 12  # measured crossover of the two Aberth sweeps
-_memo = None  # (params, residual_tol, axis_tol, Spectrum) of the last solve, swapped whole
+_memo = None  # (params, Spectrum) of the last solve, swapped whole
 
 
 class RootFindingError(RuntimeError):
@@ -388,54 +389,46 @@ def _polish_clusters(roots, a, c: float, threshold: float) -> list[complex]:
     return out
 
 
-def axis_pairs(roots, tol: float = AXIS_TOL) -> list[list[complex]]:
-    """Roots on the imaginary axis (|Re mu| < tol |mu| < Im mu), grouped by frequency.
+def axis_pairs(roots) -> list[list[complex]]:
+    """Roots on the imaginary axis (|Re mu| < AXIS_TOL |mu| < Im mu), grouped by frequency.
 
     Each root is judged at its own size. Sorted by Im; a root joins the last group when its Im
-    is within tol |mu| of that group's last member, so each group is one pair frequency.
+    is within AXIS_TOL |mu| of that group's last member, so each group is one pair frequency.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    on_axis = [m for m in roots if abs(m.real) < tol * abs(m) < m.imag]
+    on_axis = [m for m in roots if abs(m.real) < AXIS_TOL * abs(m) < m.imag]
     groups = []
     for m in sorted(on_axis, key=lambda m: m.imag):
-        if groups and m.imag - groups[-1][-1].imag <= tol * abs(m):
+        if groups and m.imag - groups[-1][-1].imag <= AXIS_TOL * abs(m):
             groups[-1].append(m)
         else:
             groups.append([m])
     return groups
 
 
-def _axis_omega(roots, axis_tol: float) -> float | None:
-    pairs = axis_pairs(roots, axis_tol)
+def _axis_omega(roots) -> float | None:
+    pairs = axis_pairs(roots)
     return float(pairs[0][0].imag) if pairs else None
 
 
-def eigenvalues(
-    params: RingParams,
-    residual_tol: float = RESIDUAL_TOL,
-    axis_tol: float = AXIS_TOL,
-) -> Spectrum:
-    """All n eigenvalues of the ring Jacobian, each with backward error <= residual_tol;
-    a repeat call on the same params object and tolerances returns the same Spectrum."""
+def eigenvalues(params: RingParams) -> Spectrum:
+    """All n eigenvalues of the ring Jacobian, each with backward error <= RESIDUAL_TOL;
+    a repeat call on the same params object returns the same Spectrum."""
     global _memo
     memo = _memo  # keyed on identity: equal rings may differ in the sign of a zero
-    if memo and memo[0] is params and memo[1:3] == (residual_tol, axis_tol):
-        return memo[3]
-    spectrum = _solve(params, residual_tol, axis_tol)
-    _memo = (params, residual_tol, axis_tol, spectrum)
-    return spectrum
+    if not (memo and memo[0] is params):
+        memo = _memo = (params, _solve(params))
+    return memo[1]
 
 
-def _solve(params: RingParams, residual_tol: float, axis_tol: float) -> Spectrum:
+def _solve(params: RingParams) -> Spectrum:
     require_valid(params)
     a, c = params.a, params.coupling_product()
-    roots, sweeps = _aberth_roots(a, c, residual_tol)
+    roots, sweeps = _aberth_roots(a, c, RESIDUAL_TOL)
     # polish first: the two halves of a double root may both stop off the axis
-    roots = _polish_clusters(roots, a, c, residual_tol)
-    roots = _symmetrise_conjugates(roots, lambda x: _eval_at(a, c, x)[2] <= residual_tol)
+    roots = _polish_clusters(roots, a, c, RESIDUAL_TOL)
+    roots = _symmetrise_conjugates(roots, lambda x: _eval_at(a, c, x)[2] <= RESIDUAL_TOL)
     p, _, etas = _eval_points(a, c, roots)
-    reason = _gate(etas, residual_tol)
+    reason = _gate(etas, RESIDUAL_TOL)
     if reason:
         raise RootFindingError(f"symmetrised roots: {reason}")
     return Spectrum(
@@ -443,7 +436,7 @@ def _solve(params: RingParams, residual_tol: float, axis_tol: float) -> Spectrum
         residuals=tuple(abs(complex(v)) for v in p),
         pair_tolerance=PAIR_TOL,
         tau=params.trace(),
-        omega=_axis_omega(roots, axis_tol),
+        omega=_axis_omega(roots),
         iterations=sweeps,
         backward_error=float(max(etas)),
     )
@@ -537,6 +530,6 @@ def adjacency_spectrum(adj: AdjacencyMatrix) -> Spectrum:
         residuals=tuple(float(v / np.abs(coeffs).max()) for v in values),
         pair_tolerance=PAIR_TOL,
         tau=float(sum(row[i] for i, row in enumerate(adj.rows))),
-        omega=_axis_omega(roots, AXIS_TOL),
+        omega=_axis_omega(roots),
         backward_error=float(max(etas)),
     )

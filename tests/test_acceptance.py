@@ -98,7 +98,7 @@ def test_criterion_3_hopf_condition_equivalence(criterion):
                 b[2] = solve_coupling_for_hopf(a, b[0], b[1])
             r = RingParams(3, a, tuple(b))
             algebraic = hopf_conditions_3(r, rel_tol=1e-8).is_hopf_point
-            s = eigenvalues(r, axis_tol=1e-8)
+            s = eigenvalues(r)
             spectral = s.omega is not None
             agree += algebraic == spectral
         elapsed = time.perf_counter() - t0

@@ -18,8 +18,8 @@ SIGNATURES = {
     "cyclic_relabel": ("params", "shift"),
     "detect_imaginary_pair": ("spectrum",),
     "detect_multiple": ("spectrum", "gap_tol"),
-    "detect_resonance": ("spectrum", "k_max", "tol"),
-    "eigenvalues": ("params", "residual_tol", "axis_tol"),
+    "detect_resonance": ("spectrum", "k_max"),
+    "eigenvalues": ("params",),
     "eigenvector_for": ("params", "mu"),
     "find_limit_cycle": ("family", "lam", "settle_time", "tol", "h"),
     "generate_tables": ("omega_signs",),
@@ -86,7 +86,7 @@ def test_public_function_signatures():
 
 
 def test_module_level_signatures():
-    assert _parameters(spectra.axis_pairs) == ("roots", "tol")
+    assert _parameters(spectra.axis_pairs) == ("roots",)
     assert _parameters(simulate.measure_cycle) == ("traj", "period_tol")
     assert _parameters(hopf.spectral_hopf_check) == ("params",)
 

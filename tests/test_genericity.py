@@ -432,7 +432,7 @@ def test_remove_resonances_pins_notes_sources_and_budget_message(monkeypatch):
     monkeypatch.setattr(
         genericity,
         "detect_resonance",
-        lambda s, k_max, tol: [ResonanceFlag(2, 1.0)] if 0j in s.eigenvalues else [],
+        lambda s, k_max: [ResonanceFlag(2, 1.0)] if 0j in s.eigenvalues else [],
     )
     result = remove_resonances(ZERO_COUPLED_DOUBLE, k_max=3, epsilon=1e-3)
     assert result.removed == (
@@ -440,7 +440,7 @@ def test_remove_resonances_pins_notes_sources_and_budget_message(monkeypatch):
         "2:1 resonance at omega=1",
     )
     monkeypatch.setattr(
-        genericity, "detect_resonance", lambda s, k_max, tol: [ResonanceFlag(2, 1.0)]
+        genericity, "detect_resonance", lambda s, k_max: [ResonanceFlag(2, 1.0)]
     )
     with pytest.raises(PerturbationBudgetError) as info:
         remove_resonances(ZERO_COUPLED_DOUBLE, k_max=3, epsilon=1e-3)
@@ -608,6 +608,31 @@ def test_resonance_set_that_overflows_is_a_named_error():
 def test_resonance_forbidden_set_rejects_k_max_below_2():
     with pytest.raises(ValueError, match=r"^k_max must be >= 2, got 1$"):
         resonance_forbidden_set(oracles.REFERENCE_RING, 1)
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, True])
+def test_resonance_orders_must_be_integers(k):
+    # a float or a bool is named, where range() used to raise a bare TypeError
+    ring, spectrum = oracles.REFERENCE_RING, eigenvalues(oracles.REFERENCE_RING)
+    for name, call in [
+        ("k", lambda: resonance_poly(ring, k)),
+        ("k_max", lambda: resonance_forbidden_set(ring, k)),
+        ("k_max", lambda: detect_resonance(spectrum, k)),
+        ("k_max", lambda: remove_resonances(ring, k, 1e-3)),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 2, got {k!r}$"):
+            call()
+
+
+def test_resonance_orders_take_numpy_integers():
+    ring = oracles.REFERENCE_RING
+    assert resonance_poly(ring, np.int64(3)).tolist() == resonance_poly(ring, 3).tolist()
+    assert resonance_forbidden_set(ring, np.int64(3)) == resonance_forbidden_set(ring, 3)
+    s6 = adjacency_spectrum(AdjacencyMatrix(6, oracles.ADJ_6))
+    assert detect_resonance(s6, np.int64(5)) == detect_resonance(s6, 5) != []
+    assert remove_resonances(ring, np.int64(3), 1e-3) == remove_resonances(ring, 3, 1e-3)
+    with pytest.raises(ValueError, match=r"^k must be >= 2, got 1$"):
+        resonance_poly(ring, np.int64(1))
 
 
 def test_remove_multiple_measures_the_repaired_gap_once(monkeypatch, solves):

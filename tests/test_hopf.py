@@ -17,7 +17,7 @@ from ringhopf.hopf import (
     spectral_hopf_check,
 )
 from ringhopf.model import AdmissibleOdeFamily, RingParams
-from ringhopf.spectra import AXIS_TOL, Spectrum, _axis_omega, axis_pairs, eigenvalues
+from ringhopf.spectra import Spectrum, _axis_omega, axis_pairs, eigenvalues
 
 
 def test_reference_ring_is_hopf_point():
@@ -179,7 +179,7 @@ def test_axis_scans_agree_on_a_chain():
     assert det.omega is None
     assert det.warnings == ("multiple imaginary pairs on the axis: 1, 2",)
     assert [(f.k, f.omega) for f in detect_resonance(s, k_max=3)] == [(2, 1.0)]
-    assert _axis_omega(s.eigenvalues, AXIS_TOL) == 1.0
+    assert _axis_omega(s.eigenvalues) == 1.0
 
 
 def test_detect_imaginary_pair_two_pairs_blocked():

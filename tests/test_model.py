@@ -254,6 +254,26 @@ def test_integral_floats_load_as_integers(tmp_path):
     assert all(type(v) is int for row in adj.rows for v in row)
 
 
+def test_constructors_take_n_as_an_int(tmp_path):
+    # numpy and integral float sizes are stored as int, so save and jacobian work
+    ring = RingParams(np.int64(3), (1.0, -2.0, -3.0), (1.0, 1.0, -10.0))
+    adj = AdjacencyMatrix(np.int64(2), ((0, 1), (1, 0)))
+    assert type(ring.n) is int and type(adj.n) is int
+    save(ring, tmp_path / "ring.json")
+    save(adj, tmp_path / "adj.json")
+    assert load_ring(tmp_path / "ring.json") == ring
+    assert load_adjacency(tmp_path / "adj.json") == adj
+    assert RingParams(3.0, ring.a, ring.b).jacobian().tolist() == ring.jacobian().tolist()
+
+
+@pytest.mark.parametrize("n, shown", [(True, "True"), (3.5, "3.5"), ("3", "'3'")])
+def test_constructors_reject_an_n_that_is_not_an_integer(n, shown):
+    with pytest.raises(RingFormatError, match=rf"^n is not an integer: {shown}$"):
+        RingParams(n, (1.0,), (1.0,))
+    with pytest.raises(RingFormatError, match=rf"^n is not an integer: {shown}$"):
+        AdjacencyMatrix(n, ((0,),))
+
+
 def test_adjacency_rejects_a_fractional_entry():
     with pytest.raises(RingFormatError, match=r"entry\[1\]\[0\] is not an integer: 0\.5"):
         AdjacencyMatrix(2, ((0, 1), (0.5, 0)))

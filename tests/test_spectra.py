@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ringhopf import simulate, spectra
-from ringhopf.genericity import detect_multiple, detect_resonance, remove_multiple, remove_resonances
+from ringhopf.genericity import detect_multiple, remove_multiple, remove_resonances
 from ringhopf.model import AdjacencyMatrix, AdmissibleOdeFamily, RingParams, time_rescale
 from ringhopf.spectra import (
     RootFindingError,
@@ -439,22 +439,24 @@ def test_size_40_ring_gets_a_spectrum():
     assert max(min(abs(x - y) for y in s.eigenvalues) for x in true) < 1e-13
 
 
-def test_gate_names_worst_backward_error_and_threshold():
+def test_gate_names_worst_backward_error_and_threshold(monkeypatch):
     rng = np.random.default_rng(0)
     r = RingParams(40, tuple(rng.uniform(-3, 3, 40)), tuple(rng.uniform(-3, 3, 40)))
+    monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
     with pytest.raises(
         RootFindingError,
         match=r"worst backward error \S+ exceeds the threshold 0\.000e\+00 \(\d+ of 40 roots\)",
     ):
-        eigenvalues(r, residual_tol=0.0)
+        eigenvalues(r)
 
 
 def test_power_sums_reject_roots_that_are_not_the_root_set(monkeypatch):
     # roots frozen at a backward error of 1e-3 pass a gate of 1e-2, but
     # their power sums are off by far more than rounding
     monkeypatch.setattr(spectra, "FREEZE_TOL", 1e-3)
+    monkeypatch.setattr(spectra, "RESIDUAL_TOL", 1e-2)
     with pytest.raises(RootFindingError, match="power sum"):
-        eigenvalues(oracles.REFERENCE_RING, residual_tol=1e-2)
+        eigenvalues(oracles.REFERENCE_RING)
 
 
 def test_spectrum_scales_with_the_ring():
@@ -510,16 +512,6 @@ def test_close_pair_inside_the_pair_band_stays_a_pair():
 def test_symmetrise_never_leaves_a_root_unpaired():
     with pytest.raises(RootFindingError, match="^2 roots above the real axis but 1 below it$"):
         spectra._symmetrise_conjugates([1 + 1j, 1 + 2j, 1 - 1j])
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
-def test_axis_tolerance_must_be_positive_and_finite(tol):
-    # NaN compared False both ways, so no root was ever on the axis
-    message = rf"^tol must be positive and finite, got {tol}$"
-    with pytest.raises(ValueError, match=message):
-        eigenvalues(oracles.REFERENCE_RING, axis_tol=tol)
-    with pytest.raises(ValueError, match=message):
-        detect_resonance(adjacency_spectrum(AdjacencyMatrix(6, oracles.ADJ_6)), 5, tol=tol)
 
 
 def _corpus_rings(count):
@@ -614,8 +606,9 @@ def test_power_sums_reject_a_frozen_root_set_on_the_vector_sweep(monkeypatch):
     monkeypatch.setattr(spectra, "FREEZE_TOL", 1e-3)
     rng = np.random.default_rng(1)
     r = RingParams(20, tuple(rng.uniform(-3, 3, 20)), tuple(rng.uniform(-3, 3, 20)))
+    monkeypatch.setattr(spectra, "RESIDUAL_TOL", 1e-2)
     with pytest.raises(RootFindingError, match="power sum"):
-        eigenvalues(r, residual_tol=1e-2)
+        eigenvalues(r)
 
 
 def test_small_rings_stay_on_the_scalar_sweep(monkeypatch):
@@ -669,23 +662,14 @@ def test_equal_rings_are_solved_apart(solves):
     assert solves() == 3
 
 
-def test_other_tolerances_miss_the_memo(solves):
-    ring = oracles.REFERENCE_RING
-    first = eigenvalues(ring)
-    assert eigenvalues(ring) is first
-    assert eigenvalues(ring, residual_tol=1e-9) is not first
-    assert eigenvalues(ring, axis_tol=1e-7) is not first
-    assert eigenvalues(ring) is not first
-    assert solves() == 4
-
-
-def test_a_call_that_raised_is_not_recorded(solves):
+def test_a_call_that_raised_is_not_recorded(solves, monkeypatch):
     rng = np.random.default_rng(0)
     r = RingParams(40, tuple(rng.uniform(-3, 3, 40)), tuple(rng.uniform(-3, 3, 40)))
     kept = eigenvalues(oracles.REFERENCE_RING)
+    monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
     for _ in range(2):
         with pytest.raises(RootFindingError, match="exceeds the threshold"):
-            eigenvalues(r, residual_tol=0.0)
+            eigenvalues(r)
     assert eigenvalues(oracles.REFERENCE_RING) is kept
     assert solves() == 3
 
