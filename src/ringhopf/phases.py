@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 from .hopf import hopf_conditions_3
 from .model import Record, RingParams, cyclic_relabel, require_valid
-from .spectra import ZeroCouplingError, backward_error
+from .spectra import AXIS_TOL, ZeroCouplingError, backward_error
 
 TWO_PI = 2 * math.pi
 ZERO_TOL_FACTOR = 1e-10
-EIGENVALUE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def phase_shifts(params: RingParams, omega: float, force: bool = False) -> Phase
     `omega` is signed: a negative value selects the conjugate eigenvalue,
     and the resulting shifts satisfy theta_j(-w) = 2*pi - theta_j(w) mod 2*pi.
     Unless `force` is given, i*omega must actually be an eigenvalue: its
-    backward error as a root of p may be at most EIGENVALUE_TOL.
+    backward error as a root of p may be at most AXIS_TOL, which every root in the axis band meets.
     """
     require_valid(params)
     if not 0 < abs(omega) < math.inf:
@@ -96,10 +95,10 @@ def phase_shifts(params: RingParams, omega: float, force: bool = False) -> Phase
         raise ZeroCouplingError(f"b[{zero[0]}] = 0: phase shifts are undefined")
     if not force:
         eta = backward_error(params, 1j * omega)
-        if not eta <= EIGENVALUE_TOL:
+        if not eta <= AXIS_TOL:
             raise ValueError(
                 f"i*{omega} is not an eigenvalue (backward error {eta:.3e} > "
-                f"{EIGENVALUE_TOL:.0e}); pass force=True for exploratory use"
+                f"{AXIS_TOL:.0e}); pass force=True for exploratory use"
             )
     omega_sign = 1 if omega > 0 else -1
     zero_tol = _zero_tol(params)

@@ -126,7 +126,7 @@ def _step_count(t_end: float, h: float, lam: float) -> int:
             raise ValueError(f"{name} must be finite, got {value}")
     if h <= 0 or t_end <= 0:
         raise ValueError(f"h and t_end must be positive, got h={h}, t_end={t_end}")
-    if not math.isfinite(t_end / h):
+    if not t_end / h < 2**53:  # from there on, h*k no longer gives each step its own time
         raise ValueError(f"t_end={t_end} and h={h} give {t_end / h} steps")
     return int(round(t_end / h))
 

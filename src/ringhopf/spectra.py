@@ -19,9 +19,9 @@ starts and stays, and nothing is snapped; with c != 0 every multiple root
 is a real double root at some xi, and a pair of roots within 1e-6 of the
 spectral radius is snapped onto the xi of its gap when xi lies that near
 and passes the gate. Any other group keeps its own roots, each gated.
-Roots are close when distances below tol link them; one scan finds them for
-the polish and detect_multiple, after a sort by Re + Im, where a close pair
-is within 2 tol, so neighbours settle the usual case of no pair in O(n).
+One scan sorted by Re + Im finds the close roots (linked by distances below
+tol) for the polish and detect_multiple; min_gap compares every pair, and
+the conjugate pairing a near-real root with the conjugate of every root.
 A root is accepted at componentwise backward error <= 1e-10, and
 it is real only when its real part also passes that gate. An eigenvector
 is accepted at eigenpair backward error <= 1e-9, taken row by row in
@@ -104,17 +104,11 @@ class Spectrum(Record):
         return max(abs(m) for m in self.eigenvalues)
 
     def min_gap(self) -> float:
-        """The least |mu - nu| over pairs; a row of the Re-sorted roots ends once dRe reaches it."""
+        """The least |mu - nu| over every pair of eigenvalues."""
         if self.n < 2:
             raise ValueError(f"min_gap needs at least two eigenvalues, got {self.n}")
-        mus = sorted(self.eigenvalues, key=lambda m: m.real)
-        best = min(abs(nu - mu) for mu, nu in zip(mus, mus[1:]))
-        for i, mu in enumerate(mus):
-            for nu in mus[i + 2 :]:
-                if nu.real - mu.real >= best:
-                    break
-                best = min(best, abs(nu - mu))
-        return best
+        mus = self.eigenvalues
+        return min(abs(nu - mu) for i, mu in enumerate(mus) for nu in mus[i + 1 :])
 
 
 @dataclass(frozen=True)
@@ -171,8 +165,11 @@ def _eval_at(a, c, z):
 
 def _backward_error(p: complex, scale: float) -> float:
     # a zero scale needs c = 0 and two vanishing factors, so p = 0 there;
-    # an overflow to inf or NaN reads as infinitely bad
-    eta = abs(p) / scale if scale else 0.0
+    # an overflow to inf or NaN, or of abs(p) itself, reads as infinitely bad
+    try:
+        eta = abs(p) / scale if scale else 0.0
+    except OverflowError:
+        return math.inf
     return eta if eta == eta and scale < math.inf else math.inf
 
 
@@ -278,8 +275,11 @@ def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
         z = z.tolist() if vector else z
         # c is the constant term only, so it leaves the first two power sums alone
         for k in (1, 2):
-            want, got = math.fsum(v**k for v in a), sum(m**k for m in z)
-            scale = math.fsum(abs(v) ** k for v in a) + sum(abs(m) ** k for m in z)
+            try:
+                want, got = math.fsum(v**k for v in a), sum(m**k for m in z)
+                scale = math.fsum(abs(v) ** k for v in a) + sum(abs(m) ** k for m in z)
+            except OverflowError:  # a sum past the float range cannot be checked
+                want = got = scale = math.inf
             if not abs(got - want) <= POWER_SUM_TOL * scale:
                 reason = f"power sum {k} of the roots is {got:.6g}, of the a_j {want:.6g}"
                 break
@@ -292,24 +292,17 @@ def _symmetrise_conjugates(roots, real_ok=lambda x: True) -> list[complex]:
     """Force the root multiset to be exactly self-conjugate.
 
     A root within PAIR_TOL times the spectral radius of the real axis is
-    real, unless another root's conjugate lies nearer to it than its own
+    real, unless the conjugate of some root lies nearer to it than its own
     and real_ok rejects its real part. Each other root above the axis is
     paired with the nearest conjugate of a root below it.
     """
     out, above, below = [], [], []
     roots = sorted(map(complex, roots), key=lambda m: (m.real, abs(m.imag), m.imag))
     pair_tol = PAIR_TOL * max(map(abs, roots))
-    for i, mu in enumerate(roots):
+    for mu in roots:
         if abs(mu.imag) <= pair_tol:
-            # mu's own conjugate lies exactly w away, so only a root whose real part is within
-            # w of mu's can be nearer; the window reaches 2w, so rounding at its ends loses none
-            w = 2 * abs(mu.imag)
-            lo, hi = i, i + 1
-            while lo and roots[lo - 1].real >= mu.real - 2 * w:
-                lo -= 1
-            while hi < len(roots) and roots[hi].real <= mu.real + 2 * w:
-                hi += 1
-            if not any(abs(mu - r.conjugate()) < w for r in roots[lo:hi]) or real_ok(mu.real):
+            w = 2 * abs(mu.imag)  # mu's own conjugate lies exactly w away
+            if not any(abs(mu - r.conjugate()) < w for r in roots) or real_ok(mu.real):
                 out.append(complex(mu.real, 0.0))
                 continue
         (above if mu.imag > 0 else below).append(mu)
@@ -459,20 +452,24 @@ def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
         for j in range(s, s + n - 1):
             entries.append(entries[-1] * (mu - a[j % n]) / b[j % n])
         entries = entries[n - s :] + entries[: n - s]
-        if 0 < abs(entries[0]) < math.inf:
+        if 0 < math.hypot(entries[0].real, entries[0].imag) < math.inf:
             break
     closure = entries[s - 1] * (mu - a[s - 1]) / b[s - 1]
     if s:
         entries = [1.0 + 0.0j] + [v / entries[0] for v in entries[1:]]
     # row j of Ju - mu u is (a_j - mu) u_j + b_j u_{j+1}; row s-1's is b_{s-1} (1 - closure) u_s
-    rows = [abs((a[j] - mu) * entries[j] + b[j] * entries[(j + 1) % n]) for j in range(n)]
-    residual = max(rows, key=lambda r: (r != r, r))  # a NaN row is the largest, so the gate fails
-    norm = max(abs(x) + abs(y) for x, y in zip(a, b)) + abs(mu)
-    bound = EIGENVECTOR_RESIDUAL_TOL * norm * max(map(abs, entries))
-    if not residual <= bound:
+    try:
+        rows = [abs((a[j] - mu) * entries[j] + b[j] * entries[(j + 1) % n]) for j in range(n)]
+        residual = max(rows, key=lambda r: (r != r, r))  # a NaN row is the largest: gate fails
+        norm = max(abs(x) + abs(y) for x, y in zip(a, b)) + abs(mu)
+        bound = EIGENVECTOR_RESIDUAL_TOL * norm * max(map(abs, entries))
+    except OverflowError:  # a modulus past the float range
+        residual = bound = math.inf
+    if not (math.isfinite(residual) and residual <= bound):  # an inf u_j makes its row inf or NaN
+        miss = closure - 1.0  # hypot, unlike abs(), returns inf past the float range
         raise ValueError(
-            f"closure product {closure} differs from 1 by {abs(closure - 1.0):.3e}: the "
-            f"eigenvector residual {residual:.3e} exceeds {bound:.3e} at mu={mu}, whose "
+            f"closure product {closure} differs from 1 by {math.hypot(miss.real, miss.imag):.3e}: "
+            f"the eigenvector residual {residual:.3e} exceeds {bound:.3e} at mu={mu}, whose "
             f"backward error as a root of p is {backward_error(params, mu):.3e}"
         )
     args = tuple(float(cmath.phase(v)) % (2 * math.pi) for v in entries)
@@ -487,19 +484,15 @@ def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
 def _faddeev_leverrier(A) -> np.ndarray:
     """Characteristic polynomial det(lambda*I - A) of an integer matrix, highest degree first.
 
-    The recurrence runs in exact integers, where each division by k is exact, so defective
+    The recurrence runs in Python integers, where each division by k is exact, so defective
     multiple zero eigenvalues come out exact; each coefficient is rounded once to a float.
     """
     import numpy as np
-    rows = [[int(v) for v in row] for row in A]
-    n, r = len(rows), max(sum(map(abs, row)) for row in rows)  # r: the row-sum norm of A
-    A = np.array(rows, dtype=np.int64 if n * r < 2**62 else object)
-    coeffs, M = [1], np.zeros((n, n), dtype=A.dtype)
+    A = np.array([[int(v) for v in row] for row in A], dtype=object)
+    n = len(A)
+    coeffs, M = [1], np.zeros((n, n), dtype=object)
     for k in range(1, n + 1):
-        # int64 while n r m < 2^62 bounds every partial sum, m = r |M_(k-1)| + |c_(k-1)| >= |M_k|
-        if A.dtype != object and n * r * (r * int(abs(M).max()) + abs(coeffs[-1])) >= 2**62:
-            A, M = A.astype(object), M.astype(object)
-        M = A @ M + coeffs[-1] * np.eye(n, dtype=A.dtype)
+        M = A @ M + coeffs[-1] * np.eye(n, dtype=object)
         coeffs.append(-int((A * M.T).sum()) // k)  # c_k = -tr(A M_k)/k
     try:
         return np.array(coeffs, dtype=float)

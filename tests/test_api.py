@@ -54,7 +54,7 @@ TOLERANCES = {
     },
     "genericity": {"AXIS_TOL": 1e-8, "GAP_TOL_FACTOR": 1e-7, "REAL_VALUE_TOL": 1e-9},
     "hopf": {"AXIS_TOL": 1e-8, "PRODUCT_REL_TOL": 1e-9},
-    "phases": {"ZERO_TOL_FACTOR": 1e-10, "EIGENVALUE_TOL": 1e-8},
+    "phases": {"AXIS_TOL": 1e-8, "ZERO_TOL_FACTOR": 1e-10},
     "simulate": {"PERIOD_TOL": 0.01},
 }
 

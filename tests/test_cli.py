@@ -216,6 +216,19 @@ def test_simulate_at_the_hopf_point_is_not_found(capsys, tmp_path, monkeypatch):
     assert rows[1][-1].startswith("no cycle: lambda=0.0 is the Hopf point")
 
 
+def test_simulate_with_a_step_too_small_errors_at_once(tmp_path):
+    # about 3.3e302 RK4 steps once ran until killed; a child keeps a hang from stalling the suite
+    path = tmp_path / "family.json"
+    save(AdmissibleOdeFamily(oracles.REFERENCE_RING), path)
+    done = subprocess.run(
+        [sys.executable, "-m", "ringhopf.cli", "simulate", str(path), "--lambda", "0.1", "--step", "1e-300"],
+        env=CHILD_ENV, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (EXIT_ERROR, "")
+    assert done.stderr.endswith(" and h=1e-300 give 3.267256359733385e+302 steps\n")
+    assert done.stderr.splitlines()[-1].startswith("error: t_end=326.7")
+
+
 def test_simulate_try_other_side(capsys, tmp_path):
     path = tmp_path / "family.json"
     save(AdmissibleOdeFamily(oracles.REFERENCE_RING), path)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ringhopf.hopf import NotAHopfPointError
@@ -19,7 +21,7 @@ from ringhopf.phases import (
     quadrant_of_ratio,
     table_lookup,
 )
-from ringhopf.spectra import ZeroCouplingError
+from ringhopf.spectra import AXIS_TOL, ZeroCouplingError, eigenvalues
 
 TWO_PI = 2 * math.pi
 
@@ -83,6 +85,25 @@ def test_phase_shifts_reject_detuned_frequency_at_large_n():
             phase_shifts(r, omega)
             with pytest.raises(ValueError, match="not an eigenvalue"):
                 phase_shifts(r, 1.01 * omega)
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(3, 10),
+    s=st.floats(0.0, 0.9),
+    log2_delta=st.integers(-40, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phase_shifts_accept_every_pair_the_axis_band_admits(n, s, log2_delta, seed):
+    # lowering each a_j by s AXIS_TOL omega moves the pair that far off the axis, inside the
+    # band |Re mu| < AXIS_TOL |mu|; since the backward error's scale is at least |z| |p'(z)|,
+    # i omega then has backward error about s AXIS_TOL, within the gate
+    ring, omega = oracles.construct_hopf_ring(n, np.random.default_rng(seed))
+    ring, omega = time_rescale(ring, 2.0**log2_delta), omega * 2.0**log2_delta
+    ring = RingParams(n, tuple(v - s * AXIS_TOL * omega for v in ring.a), ring.b)
+    found = eigenvalues(ring).omega
+    assert found is not None
+    phase_shifts(ring, found)
 
 
 def test_phase_shifts_force_overrides_check():

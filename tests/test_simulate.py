@@ -71,6 +71,21 @@ def test_integrate_rejects_overflowing_step_count():
         integrate(fam, np.zeros(3), t_end=1e308, h=1e-10)
 
 
+def test_step_count_stops_below_2_to_the_53():
+    # from 2**53 steps on, h*k no longer gives each step its own time
+    assert simulate._step_count(2.0**53 - 1, 1.0, 0.0) == 2**53 - 1
+    with pytest.raises(ValueError, match=r"^t_end=9007199254740992\.0 and h=1\.0 give 9007199254740992\.0 steps$"):
+        simulate._step_count(2.0**53, 1.0, 0.0)
+    with pytest.raises(ValueError, match=r"^t_end=326\.7 and h=1e-300 give 3\.26\d*e\+302 steps$"):
+        simulate._step_count(326.7, 1e-300, 0.1)
+
+
+def test_find_limit_cycle_rejects_a_step_too_small_for_its_settle():
+    fam = AdmissibleOdeFamily(oracles.REFERENCE_RING)
+    with pytest.raises(ValueError, match=r"^t_end=326\.7\d* and h=1e-300 give 3\.26\d*e\+302 steps$"):
+        find_limit_cycle(fam, 0.1, h=1e-300)
+
+
 def test_integrate_preserves_origin():
     fam = AdmissibleOdeFamily(oracles.REFERENCE_RING, lam=0.05)
     traj = integrate(fam, np.zeros(3), t_end=1.0, h=0.01)

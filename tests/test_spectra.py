@@ -492,6 +492,48 @@ def test_eigenvector_rejects_nan_eigenvalue():
         eigenvector_for(oracles.REFERENCE_RING, float("nan"))
 
 
+@pytest.mark.parametrize(
+    "ring, mu",
+    [
+        # u_3 = 1.44e308 - 1.56e308i has a modulus past the float range
+        (RingParams(5, (1, -1e300, 0, 5e-324, 0), (-2.25, 1e-8, 2, -1e-300, 1e150)), -2.25 + 3.5j),
+        # so does u_1 of the run from after the nearest a_j, 5.8e307 (1 + 3i)
+        (RingParams(3, (5.0, 0.0, -1.0), (1.0, 1.72e-154, 1e-154)), 1 + 1j),
+        # u_3 is inf: the residual inf was within the bound inf, so u was returned
+        (RingParams(3, (-1.0, 1.0, 0.0), (1.0, -1e-100, -2.0)), -2.25 + 1e150j),
+        # p(mu) has a modulus past the float range, so the message's backward error too
+        (RingParams(4, (1e-300, 1e-300, -1.0, 1.5e308), (-1e-100, 1e-200, 1.5e308, 1.0)), -1j),
+    ],
+)
+def test_eigenvector_gate_fails_a_modulus_past_the_float_range(ring, mu):
+    with pytest.raises(ValueError, match=r"^closure product .* whose backward error as a root of p is "):
+        eigenvector_for(ring, mu)
+
+
+def test_backward_error_past_the_float_range_is_inf():
+    ring = RingParams(4, (1e-300, 1e-300, -1.0, 1.5e308), (-1e-100, 1e-200, 1.5e308, 1.0))
+    assert spectra.backward_error(ring, -1j) == math.inf
+
+
+def test_a_sweep_that_divides_by_zero_fails_its_start():
+    # c = 0 starts each root on its a_j; at the double root 1e308 p = p' = 0, and the
+    # backward error's scale is NaN from (|a_j| + |z|) = inf times a zero factor, so the root
+    # moves and its Aberth step divides by zero; both starts fail the gate that way
+    ring = RingParams(3, (1e308, 1e308, 0.0), (0.0, 1.0, 1.0))
+    with pytest.raises(
+        RootFindingError,
+        match=r"^worst backward error inf exceeds the threshold 1\.000e-10 \(3 of 3 roots\) after 2 sweeps$",
+    ):
+        eigenvalues(ring)
+
+
+def test_power_sums_past_the_float_range_fail_the_check():
+    # the roots 1e154 + 1.7e-108 e^(i theta) pass the gate, but the sum of the squares of the
+    # a_j is 3e308, which fsum cannot hold
+    with pytest.raises(RootFindingError, match=r"^power sum 2 of the roots is inf, of the a_j inf after 2 sweeps$"):
+        eigenvalues(RingParams(3, (1e154,) * 3, (-5e-324, 1.0, 1.0)))
+
+
 def test_close_pair_inside_the_pair_band_stays_a_pair():
     # -3 +- 6.38e-9i lie within PAIR_TOL times the radius of the real axis,
     # but -3 fails the backward-error gate, so they are not made real
