@@ -193,15 +193,13 @@ class AdmissibleOdeFamily:
         return self.base.jacobian() + lam * np.eye(self.base.n)
 
     def vector_field(self, x: np.ndarray, lam: float | None = None) -> np.ndarray:
+        """((a_j + lam) x_j + b_j x_{j+1}) + g_j ((x_j x_j) x_j), rounded as the RK4 kernel rounds it."""
         import numpy as np
         if lam is None:
             lam = self.lam
-        a = np.asarray(self.base.a)
-        b = np.asarray(self.base.b)
-        g = np.asarray(self.cubic)
         x = np.asarray(x, dtype=float)
-        nxt = np.roll(x, -1)
-        return (a + lam) * x + b * nxt + g * x**3
+        a, b, g = np.add(self.base.a, lam), np.asarray(self.base.b), np.asarray(self.cubic)
+        return (a * x + b * np.roll(x, -1)) + g * ((x * x) * x)
 
     def to_dict(self) -> dict:
         d = self.base.to_dict()

@@ -9,8 +9,8 @@ local floats, compiled, and cached by n; the coefficients are arguments,
 so one kernel serves every family of that size. A step makes no function
 call and builds no list, and a hunt stores none of its settle steps. On a
 shared 2-core x86-64 machine (CPython 3.11, one CPU) a stored step takes
-about 2-3 us at n = 3, 5-7 us at n = 7, 19-27 us at n = 30 and 25-35 us
-at n = 40, an unstored one about 10% less, and a kernel compiles in 1-13 ms.
+1.5-2.4 us at n = 3, 3.7-5.2 us at n = 7, 20-23 us at n = 30 and 25-30 us
+at n = 40, an unstored one up to 10% less; a kernel compiles in 1-19 ms.
 Phase differences are measured from the fundamental Fourier coefficients
 c_j over a window of whole periods; the reported Delta_j = arg(c_j / c_{j+1})
 uses the same orientation as the predicted phase shifts (node j relative
@@ -72,15 +72,15 @@ def _rk4_kernel(n: int):
     `skip` steps from x that store nothing, writes the state reached to
     out[0:n], steps on up to flat offset `stop` writing each state after it
     passes the divergence check, and returns 0, or the number (from x) of
-    the step whose state left -limit <= x_j <= limit (NaN included) or whose
-    cube overflowed. Operations and order are those of the right-hand side
-    (a_j y_j + b_j y_{j+1}) + g_j y_j**3 and of x + (h/6)(((k1 + 2 k2) + 2 k3) + k4).
+    the step whose state left -limit <= x_j <= limit (NaN included). Each stage
+    is `AdmissibleOdeFamily.vector_field` operation for operation (its a_j + lam
+    is the a_j passed in), and the update x + (h/6)(((k1 + 2 k2) + 2 k3) + k4).
     """
     nodes = range(n)
 
     def stage(k, y):
         return [
-            f"{k}_{j} = (a_{j} * {y}_{j} + b_{j} * {y}_{(j + 1) % n}) + g_{j} * {y}_{j}**3"
+            f"{k}_{j} = (a_{j} * {y}_{j} + b_{j} * {y}_{(j + 1) % n}) + g_{j} * (({y}_{j} * {y}_{j}) * {y}_{j})"
             for j in nodes
         ]
 
@@ -103,15 +103,12 @@ def _rk4_kernel(n: int):
             "    half = 0.5 * h",
             "    sixth = h / 6.0",
             "    low = -limit",
-            "    try:",
-            f"        for i in range({n} - skip * {n}, {n}, {n}):",  # i // n + skip is the step
-            *("            " + line for line in body),
-            *(f"        out[{j}] = x_{j}" for j in nodes),
-            f"        for i in range({n}, stop, {n}):",
-            *("            " + line for line in body),
-            *(f"            out[i + {j}] = x_{j}" for j in nodes),
-            "    except OverflowError:",  # float ** on a cube out of range
-            f"        return skip + i // {n}",
+            f"    for i in range({n} - skip * {n}, {n}, {n}):",  # i // n + skip is the step
+            *("        " + line for line in body),
+            *(f"    out[{j}] = x_{j}" for j in nodes),
+            f"    for i in range({n}, stop, {n}):",
+            *("        " + line for line in body),
+            *(f"        out[i + {j}] = x_{j}" for j in nodes),
             "    return 0",
         ]
     )

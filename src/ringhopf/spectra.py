@@ -186,7 +186,10 @@ def _gate(etas, threshold: float) -> str | None:
 
 def backward_error(params: RingParams, z: complex) -> float:
     """Componentwise backward error of z as a root of p, in the ring's a and c."""
-    return _eval_at(params.a, params.coupling_product(), complex(z))[2]
+    try:
+        return _eval_at(params.a, params.coupling_product(), complex(z))[2]
+    except OverflowError:  # abs() of z or of a factor a_j - z past the float range
+        return math.inf
 
 
 def _eval_points(a, c: float, z):
@@ -446,7 +449,10 @@ def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
             f"b[{zero[0]}] = 0: the eigenvector recurrence divides by b_j"
         )
     mu = complex(mu)
-    k = min(range(n), key=lambda j: abs(mu - a[j]) / (abs(mu) + abs(a[j]) or 1.0))
+    try:
+        k = min(range(n), key=lambda j: abs(mu - a[j]) / (abs(mu) + abs(a[j]) or 1.0))
+    except OverflowError:  # a modulus past the float range: j = 0, where min lands when
+        k = 0  # |mu| reads as inf and so every key as NaN or 0; the gate judges the run
     for s in ((k + 1) % n, 0):  # mu equal to two a_j can zero u_1 on the rotated run
         entries = [1.0 + 0.0j]
         for j in range(s, s + n - 1):
@@ -466,9 +472,8 @@ def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
     except OverflowError:  # a modulus past the float range
         residual = bound = math.inf
     if not (math.isfinite(residual) and residual <= bound):  # an inf u_j makes its row inf or NaN
-        miss = closure - 1.0  # hypot, unlike abs(), returns inf past the float range
-        raise ValueError(
-            f"closure product {closure} differs from 1 by {math.hypot(miss.real, miss.imag):.3e}: "
+        raise ValueError(  # hypot, unlike abs(), returns inf past the float range
+            f"closure product {closure} differs from 1 by {math.hypot(closure.real - 1.0, closure.imag):.3e}: "
             f"the eigenvector residual {residual:.3e} exceeds {bound:.3e} at mu={mu}, whose "
             f"backward error as a root of p is {backward_error(params, mu):.3e}"
         )

@@ -135,20 +135,18 @@ def imag_axis_omegas(a) -> list[float]:
 
 def rk4_states(a, b, g, lam: float, x0, h: float, n_steps: int) -> np.ndarray:
     """Every state of fixed-step classical RK4 on numpy arrays for
-    dx_j/dt = ((a_j + lam) x_j + b_j x_{j+1}) + g_j x_j^3.
+    dx_j/dt = ((a_j + lam) x_j + b_j x_{j+1}) + g_j ((x_j x_j) x_j).
 
-    Cubes come from the C library's pow, one element at a time: numpy's
-    own `**` may run a SIMD pow that rounds about 3% of cubes differently
-    in the last bit (numpy 2.4 on AVX-512), and a bitwise comparison
-    would then test numpy's pow instead of the stepper.
+    The cube is two multiplications, which numpy rounds elementwise as
+    Python rounds each float product, so the states can be compared with
+    the stepper's bit for bit.
     """
     shifted = np.asarray(a, dtype=float) + lam
     b = np.asarray(b, dtype=float)
     g = np.asarray(g, dtype=float)
 
     def rhs(y):
-        cube = np.array([v**3 for v in y.tolist()])
-        return shifted * y + b * np.roll(y, -1) + g * cube
+        return shifted * y + b * np.roll(y, -1) + g * (y * y * y)
 
     x = np.asarray(x0, dtype=float)
     states = [x]

@@ -1,6 +1,7 @@
 """tools/layers.py, the per-layer timing script, run once at its smallest size."""
 
 import importlib.util
+import json
 import os
 from pathlib import Path
 
@@ -9,12 +10,21 @@ from ringhopf import spectra
 LAYERS = Path(__file__).resolve().parent.parent / "tools" / "layers.py"
 
 
-def test_layer_timings_run_at_n_3():
+def test_layer_timings_run_at_n_3(tmp_path):
     spec = importlib.util.spec_from_file_location("layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     cpus, crossover = os.sched_getaffinity(0), spectra.VECTOR_SWEEP_MIN_N
-    rows = layers.main(["--sizes", "3", "--repeat", "1"])
+    path = tmp_path / "layers.json"
+    rows = layers.main(["--sizes", "3", "--repeat", "1", "--json", str(path)])
+    # the file holds every row main returns, with where and on what they were taken
+    (run,) = json.loads(path.read_text())
+    assert [(r["layer"], r["n"], r["us"], r["failed"]) for r in run["rows"]] == rows
+    assert run["pinned_cpu"] == min(cpus) and run["repeat"] == 1
+    assert run["revision"] and run["machine"]["cpus"] == os.cpu_count()
+    # a second run goes after the first
+    layers.main(["--sizes", "3", "--repeat", "1", "--json", str(path)])
+    assert len(json.loads(path.read_text())) == 2
     assert (os.sched_getaffinity(0), spectra.VECTOR_SWEEP_MIN_N) == (cpus, crossover)
     assert [name for name, *_ in rows] == [
         "eigenvalues, scalar sweep",

@@ -503,6 +503,8 @@ def test_eigenvector_rejects_nan_eigenvalue():
         (RingParams(3, (-1.0, 1.0, 0.0), (1.0, -1e-100, -2.0)), -2.25 + 1e150j),
         # p(mu) has a modulus past the float range, so the message's backward error too
         (RingParams(4, (1e-300, 1e-300, -1.0, 1.5e308), (-1e-100, 1e-200, 1.5e308, 1.0)), -1j),
+        # |mu| itself, read by the pick of the least accurate factor and by the backward error
+        (oracles.REFERENCE_RING, 1.5e308 + 1.5e308j),
     ],
 )
 def test_eigenvector_gate_fails_a_modulus_past_the_float_range(ring, mu):
@@ -513,6 +515,7 @@ def test_eigenvector_gate_fails_a_modulus_past_the_float_range(ring, mu):
 def test_backward_error_past_the_float_range_is_inf():
     ring = RingParams(4, (1e-300, 1e-300, -1.0, 1.5e308), (-1e-100, 1e-200, 1.5e308, 1.0))
     assert spectra.backward_error(ring, -1j) == math.inf
+    assert spectra.backward_error(oracles.REFERENCE_RING, 1.5e308 + 1.5e308j) == math.inf
 
 
 def test_a_sweep_that_divides_by_zero_fails_its_start():

@@ -1,6 +1,6 @@
 """Per-layer timings of ringhopf, best of k, pinned to one CPU.
 
-    PYTHONPATH=src python tools/layers.py [--sizes 3 10 20 40 64] [--repeat 3] [--cli K]
+    PYTHONPATH=src python tools/layers.py [--sizes 3 10 20 40 64] [--repeat 3] [--cli K] [--json FILE]
 
 For each ring size, the same RINGS random rings (a_j, b_j ~ U(-3, 3), fixed
 seed) go through `eigenvalues` on each Aberth sweep, `char_poly`, the two
@@ -15,6 +15,9 @@ small input, beside a bare interpreter and a bare `import numpy`; each row
 is the median wall time, the children take turns, and a row says how many
 runs exited nonzero. The process, and so every child, runs on one CPU
 while it measures and gets its CPUs back after.
+With --json FILE, the run (its rows, the machine, the pinned CPU and the git
+revision of the ringhopf it imported) is appended to the JSON list in FILE,
+so one file holds a trajectory of readings; BENCH_layers.json is that file.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import json
 import math
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -169,11 +174,47 @@ def measure_cli(k: int) -> list[tuple[str, int, float, int]]:
     ]
 
 
+def machine() -> dict:
+    """The CPU model, the CPU count and the software the figures were taken with."""
+    models = [line.split(":", 1)[1].strip() for line in Path("/proc/cpuinfo").read_text().splitlines()
+              if line.startswith("model name")]  # Linux, as sched_setaffinity is
+    return {
+        "cpu": models[0] if models else platform.processor(),
+        "cpus": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def revision() -> str:
+    """`git describe --always --dirty` of the checkout ringhopf was imported from, or 'unknown'."""
+    done = subprocess.run(
+        ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+        cwd=Path(ringhopf.__file__).resolve().parent, capture_output=True, text=True,
+    )
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+
+def append_run(path: Path, rows, cpu: int, repeat: int) -> None:
+    """Add one run to the JSON list in path, which need not exist yet."""
+    runs = json.loads(path.read_text()) if path.exists() else []
+    runs.append({
+        "revision": revision(),
+        "machine": machine(),
+        "pinned_cpu": cpu,
+        "repeat": repeat,
+        "rows": [{"layer": name, "n": n, "us": us, "failed": failed} for name, n, us, failed in rows],
+    })
+    path.write_text(json.dumps(runs, indent=1) + "\n")
+
+
 def main(argv=None) -> list[tuple[str, int, float, int]]:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[3, 10, 20, 40, 64])
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--cli", type=int, default=0, metavar="K", help="also time the CLI, median of K runs")
+    parser.add_argument("--json", type=Path, metavar="FILE", help="append the run to the JSON list in FILE")
     args = parser.parse_args(argv)
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
@@ -187,6 +228,8 @@ def main(argv=None) -> list[tuple[str, int, float, int]]:
         note = f"  ({failed} calls raised)" if failed else ""
         size = f"n = {n:3d}" if n else " " * 7
         print(f"{name:34s} {size}  {us:12.2f} us{note}")
+    if args.json:
+        append_run(args.json, rows, min(cpus), args.repeat)
     return rows
 
 
