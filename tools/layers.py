@@ -189,10 +189,13 @@ def machine() -> dict:
 
 def revision() -> str:
     """`git describe --always --dirty` of the checkout ringhopf was imported from, or 'unknown'."""
-    done = subprocess.run(
-        ["git", "describe", "--always", "--dirty", "--abbrev=12"],
-        cwd=Path(ringhopf.__file__).resolve().parent, capture_output=True, text=True,
-    )
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=Path(ringhopf.__file__).resolve().parent, capture_output=True, text=True,
+        )
+    except OSError:  # no git
+        return "unknown"
     return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
