@@ -7,7 +7,9 @@ For n = 3 the Hopf point is characterised algebraically:
 
 together with tau = a1+a2+a3 < 0 for the branch to be the first local
 bifurcation. The product identity is exact mathematics; numerically it is
-accepted within a relative tolerance.
+accepted within PRODUCT_REL_TOL times the componentwise size
+(|a1|+|a2|)(|a1|+|a3|)(|a2|+|a3|) of its left side, which bounds the
+rounding of a pairwise sum that cancels.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ class HopfReport(Record):
     omega_sq: float
     product_lhs: float
     product_rhs: float
+    product_size: float  # (|a1|+|a2|)(|a1|+|a3|)(|a2|+|a3|), the scale of the identity's tolerance
     trace: float
     omega: float | None
     positivity: bool
@@ -43,7 +46,7 @@ class HopfReport(Record):
 
     def not_a_hopf_point(self, need: str) -> NotAHopfPointError:
         """The error for `need`: omega^2, the identity gap at PRODUCT_REL_TOL, the trace."""
-        tol = PRODUCT_REL_TOL * max(abs(self.product_lhs), abs(self.product_rhs))
+        tol = PRODUCT_REL_TOL * self.product_size
         return NotAHopfPointError(
             f"{need}: omega^2 = {self.omega_sq:.6g} (needs > 0), |lhs - rhs| = "
             f"{abs(self.product_lhs - self.product_rhs):.3e} (tolerance {tol:.3e}), "
@@ -61,13 +64,15 @@ def hopf_conditions_3(params: RingParams, rel_tol: float = PRODUCT_REL_TOL) -> H
     lhs = (a1 + a2) * (a1 + a3) * (a2 + a3)
     rhs = b1 * b2 * b3
     trace = a1 + a2 + a3
-    identity = abs(lhs - rhs) <= rel_tol * max(abs(lhs), abs(rhs))
+    size = (abs(a1) + abs(a2)) * (abs(a1) + abs(a3)) * (abs(a2) + abs(a3))
+    identity = abs(lhs - rhs) <= rel_tol * size
     positivity = omega_sq > 0
     sums = (a1 + a2, a1 + a3, a2 + a3)
     return HopfReport(
         omega_sq=omega_sq,
         product_lhs=lhs,
         product_rhs=rhs,
+        product_size=size,
         trace=trace,
         omega=math.sqrt(omega_sq) if positivity else None,
         positivity=positivity,

@@ -11,7 +11,7 @@ no dense coefficient. Aberth-Ehrlich iteration starts root k at
 a_k + |c|^(1/n) e^(2 pi i (k + 1/4)/n), inside the disks about the a_j
 that hold every root, and stops each root at the rounding floor of its
 backward error. The power sums sum z = sum a_j, sum z^2 = sum a_j^2 are
-checked, close roots polished, and conjugate pairs symmetrised. A multiple
+checked in one pass, close roots polished, and conjugates symmetrised. A multiple
 root needs p' = A' = 0: at a repeated a_j, where p = c, or at the one
 simple root xi of A' in a gap between neighbouring distinct a_j, where
 A'' != 0. So with c = 0 the roots are the a_j, on which the iteration
@@ -35,7 +35,7 @@ Every tolerance is a dimensionless factor times the size of what it compares
 (a backward error; PAIR_TOL and the polish radius the largest |mu|; AXIS_TOL
 each root's own |mu|, and in the 0:1 and k:1 tests the pair frequency;
 GAP_TOL_FACTOR the spectral radius, or the least positive float when that
-is 0; PRODUCT_REL_TOL the larger side of the n = 3 identity;
+is 0; PRODUCT_REL_TOL the componentwise size of the n = 3 identity;
 ZERO_TOL_FACTOR max |a_j|), so `time_rescale` changes no answer. No public
 function takes RESIDUAL_TOL or AXIS_TOL as an argument. Two keep another form:
 REAL_VALUE_TOL's 1 + |v|, bit for bit while the dense Q_k route stays, and
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from operator import sub
@@ -60,6 +61,7 @@ AXIS_TOL = 1e-8
 EIGENVECTOR_RESIDUAL_TOL = 1e-9
 VECTOR_SWEEP_MIN_N = 12  # measured crossover of the two Aberth sweeps
 _memo = None  # (params, Spectrum) of the last solve, swapped whole
+_rotations = functools.cache(lambda n, turn: tuple(cmath.exp(2j * math.pi * (k + turn) / n) for k in range(n)))
 
 
 class RootFindingError(RuntimeError):
@@ -232,8 +234,8 @@ def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
     """All roots of prod(a_j - z) + c by Aberth-Ehrlich iteration, and the sweeps taken.
 
     A root stops once its backward error is down to FREEZE_TOL. The power
-    sums catch a double root that took two approximations and left a
-    simple root out; a second start, turned by half a step, gets one try.
+    sums, taken in one pass, catch a double root that took two approximations
+    and left a simple root out; a second start, turned by half a step, gets one try.
     """
     n = len(a)
     radius = abs(c) ** (1.0 / n)
@@ -243,7 +245,7 @@ def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
     wrap = np.array if vector else list
     sweeps = 0
     for turn in (0.25, 0.75):
-        start = wrap([a[k] + radius * cmath.exp(2j * math.pi * (k + turn) / n) for k in range(n)])
+        start = wrap([v + radius * w for v, w in zip(a, _rotations(n, turn))])
         z, eta, active = wrap(start), wrap([math.inf] * n), wrap(range(n))
         try:
             for _ in range(max_iter):
@@ -277,11 +279,15 @@ def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
             continue
         z = z.tolist() if vector else z
         # c is the constant term only, so it leaves the first two power sums alone
-        for k in (1, 2):
+        s1 = s2 = r1 = r2 = 0.0
+        for m in z:  # one pass; _eval_at took each abs(m) already, so none overflows here
+            s1, s2, r1, r2 = s1 + m, s2 + m * m, r1 + abs(m), r2 + abs(m) * abs(m)
+        for k, got, mods, terms in ((1, s1, r1, a), (2, s2, r2, [v * v for v in a])):
             try:
-                want, got = math.fsum(v**k for v in a), sum(m**k for m in z)
-                scale = math.fsum(abs(v) ** k for v in a) + sum(abs(m) ** k for m in z)
-            except OverflowError:  # a sum past the float range cannot be checked
+                want, scale = math.fsum(terms), math.fsum(map(abs, terms)) + mods
+            except OverflowError:
+                want = mods = math.inf
+            if math.inf in (want, mods):  # a sum or a term past the float range cannot be checked
                 want = got = scale = math.inf
             if not abs(got - want) <= POWER_SUM_TOL * scale:
                 reason = f"power sum {k} of the roots is {got:.6g}, of the a_j {want:.6g}"
@@ -299,7 +305,7 @@ def _symmetrise_conjugates(roots, real_ok=lambda x: True) -> list[complex]:
     and real_ok rejects its real part. Each other root above the axis is
     paired with the nearest conjugate of a root below it.
     """
-    out, above, below = [], [], []
+    out, above, below = [], [], []  # below holds the conjugates of the roots below the axis
     roots = sorted(map(complex, roots), key=lambda m: (m.real, abs(m.imag), m.imag))
     pair_tol = PAIR_TOL * max(map(abs, roots))
     for mu in roots:
@@ -308,13 +314,13 @@ def _symmetrise_conjugates(roots, real_ok=lambda x: True) -> list[complex]:
             if not any(abs(mu - r.conjugate()) < w for r in roots) or real_ok(mu.real):
                 out.append(complex(mu.real, 0.0))
                 continue
-        (above if mu.imag > 0 else below).append(mu)
+        above.append(mu) if mu.imag > 0 else below.append(mu.conjugate())
     if len(above) != len(below):
         raise RootFindingError(f"{len(above)} roots above the real axis but {len(below)} below it")
     for mu in above:  # both imaginary parts add with one sign, so half lies above the axis
-        partner = min(below, key=lambda m: abs(mu - m.conjugate()))
+        partner = min(below, key=lambda m: abs(mu - m))
         below.remove(partner)
-        half = (mu + partner.conjugate()) / 2.0
+        half = (mu + partner) / 2.0
         out += [half, half.conjugate()]
     out.sort(key=lambda m: (m.real, m.imag))
     return out
@@ -428,8 +434,8 @@ def _solve(params: RingParams) -> Spectrum:
     if reason:
         raise RootFindingError(f"symmetrised roots: {reason}")
     return Spectrum(
-        eigenvalues=tuple(complex(m) for m in roots),
-        residuals=tuple(abs(complex(v)) for v in p),
+        eigenvalues=tuple(roots),
+        residuals=tuple(map(abs, map(complex, p))),
         pair_tolerance=PAIR_TOL,
         tau=params.trace(),
         omega=_axis_omega(roots),
@@ -453,13 +459,17 @@ def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
         k = min(range(n), key=lambda j: abs(mu - a[j]) / (abs(mu) + abs(a[j]) or 1.0))
     except OverflowError:  # a modulus past the float range: j = 0, where min lands when
         k = 0  # |mu| reads as inf and so every key as NaN or 0; the gate judges the run
-    for s in ((k + 1) % n, 0):  # mu equal to two a_j can zero u_1 on the rotated run
+    for s in ((k + 1) % n, 0):  # the rotated run may zero u_1 (mu equal to two a_j) or overflow
         entries = [1.0 + 0.0j]
         for j in range(s, s + n - 1):
             entries.append(entries[-1] * (mu - a[j % n]) / b[j % n])
         entries = entries[n - s :] + entries[: n - s]
-        if 0 < math.hypot(entries[0].real, entries[0].imag) < math.inf:
+        if entries[0] and not any(map(cmath.isinf, entries)):  # a NaN mu is left to the gate
             break
+    else:  # the run from u_1 = 1 overflows too, so no closure product is formed
+        j = next(j for j, v in enumerate(entries) if cmath.isinf(v))
+        raise ValueError(f"closure product not formed: u_{j + 1} = {entries[j]} overflows when u_1 = 1 at "
+                         f"mu={mu}, whose backward error as a root of p is {backward_error(params, mu):.3e}")
     closure = entries[s - 1] * (mu - a[s - 1]) / b[s - 1]
     if s:
         entries = [1.0 + 0.0j] + [v / entries[0] for v in entries[1:]]
@@ -467,11 +477,12 @@ def eigenvector_for(params: RingParams, mu: complex) -> Eigenvector:
     try:
         rows = [abs((a[j] - mu) * entries[j] + b[j] * entries[(j + 1) % n]) for j in range(n)]
         residual = max(rows, key=lambda r: (r != r, r))  # a NaN row is the largest: gate fails
-        norm = max(abs(x) + abs(y) for x, y in zip(a, b)) + abs(mu)
-        bound = EIGENVECTOR_RESIDUAL_TOL * norm * max(map(abs, entries))
+        norm, top = max(abs(x) + abs(y) for x, y in zip(a, b)) + abs(mu), max(map(abs, entries))
+        bound = EIGENVECTOR_RESIDUAL_TOL * norm * top
     except OverflowError:  # a modulus past the float range
-        residual = bound = math.inf
-    if not (math.isfinite(residual) and residual <= bound):  # an inf u_j makes its row inf or NaN
+        residual = bound = norm = top = math.inf
+    # an inf u_j makes its row inf or NaN, and a scale ||J|| ||u|| past the float range certifies nothing
+    if not (residual <= bound and norm * top < math.inf):
         raise ValueError(  # hypot, unlike abs(), returns inf past the float range
             f"closure product {closure} differs from 1 by {math.hypot(closure.real - 1.0, closure.imag):.3e}: "
             f"the eigenvector residual {residual:.3e} exceeds {bound:.3e} at mu={mu}, whose "

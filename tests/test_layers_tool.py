@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 from ringhopf import spectra
@@ -89,3 +90,20 @@ def test_cli_rows_time_every_subcommand_as_a_child():
     ]
     # every child exits 0, so each row times a full run
     assert all(0 < us < 60e6 and failed == 0 for _, _, us, failed in cli_rows)
+
+
+def test_tier1_row_times_one_run_of_the_suite_as_a_child(monkeypatch):
+    # a stub child stands in for the suite, which would otherwise run itself
+    spec = importlib.util.spec_from_file_location("layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    stub = "print('FAILED tests/a.py::b'); print('2 failed, 470 passed, 1 error in 0.01s'); raise SystemExit(1)"
+    monkeypatch.setattr(layers, "TIER1", [sys.executable, "-c", stub])
+    rows = layers.main(["--sizes", "3", "--repeat", "1", "--tier1"])
+    assert len(rows) == 10 + 1  # the default rows come first, unchanged
+    assert rows[-1][:2] == ("tier-1 suite", 0) and 0 < rows[-1][2] < 60e6 and rows[-1][3] == 3
+    # a child that exits nonzero with no summary line counts as one failure
+    monkeypatch.setattr(layers, "TIER1", [sys.executable, "-c", "raise SystemExit(4)"])
+    assert layers.measure_tier1()[3] == 1
+    monkeypatch.setattr(layers, "TIER1", [sys.executable, "-c", "print('3 passed in 0.01s')"])
+    assert layers.measure_tier1()[3] == 0

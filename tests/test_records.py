@@ -66,7 +66,7 @@ RECORD_KEYS = {
     ),
     PhaseComparison: ("distances", "max_distance", "mean_distance"),
     HopfReport: (
-        "omega_sq", "product_lhs", "product_rhs", "trace", "omega", "positivity",
+        "omega_sq", "product_lhs", "product_rhs", "product_size", "trace", "omega", "positivity",
         "product_identity", "first_bifurcation", "marginal_excluded", "pairwise_sums_negative",
         "coupling_product_negative", "is_hopf_point",
     ),

@@ -512,6 +512,26 @@ def test_eigenvector_gate_fails_a_modulus_past_the_float_range(ring, mu):
         eigenvector_for(ring, mu)
 
 
+UNDERFLOWING_C_RING = RingParams(3, (-1.0, 2.0, 3.5), (1e-200,) * 3)  # c underflows: the spectrum is a
+
+
+def test_eigenvector_takes_the_run_whose_every_entry_is_finite():
+    # the run from after a_2 reaches u_1 = -1.5e200 but u_2 = -inf on the way; the run from
+    # u_1 = 1 is (1, 3e200, 0), whose u_3 = -1e-400 / 4.5 underflows, and every row is within
+    # rounding: the third row leaves b_3 u_1 = 1e-200
+    v = eigenvector_for(UNDERFLOWING_C_RING, 2.0)
+    assert v.entries == (1.0, 3e200, 0.0)
+    residual, bound = oracles.dense_eigenvector_residual(UNDERFLOWING_C_RING, 2.0, v.entries)
+    assert residual == pytest.approx(1e-200) and residual <= bound
+
+
+def test_eigenvector_past_the_float_range_names_its_overflowing_entry():
+    # mu = 3.5 is an exact root, but u = (1, 4.5e200, 6.75e400) from u_1 = 1 overflows
+    with pytest.raises(ValueError, match=r"^closure product not formed: u_3 = \(inf\+0j\) overflows when "
+                       r"u_1 = 1 at mu=\(3\.5\+0j\), whose backward error as a root of p is 0\.000e\+00$"):
+        eigenvector_for(UNDERFLOWING_C_RING, 3.5)
+
+
 def test_backward_error_past_the_float_range_is_inf():
     ring = RingParams(4, (1e-300, 1e-300, -1.0, 1.5e308), (-1e-100, 1e-200, 1.5e308, 1.0))
     assert spectra.backward_error(ring, -1j) == math.inf
@@ -872,3 +892,31 @@ def test_faddeev_leverrier_names_a_coefficient_beyond_the_float_range():
 
 def test_clusters_of_one_root_are_none():
     assert spectra._clusters([1.0 + 0.0j], 0.5) == []
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_the_gate_reports_the_evaluation_of_every_returned_root(monkeypatch, vector):
+    # residuals and backward_error are the gate's own evaluation of the returned roots, bit for
+    # bit: _eval_at's on the scalar sweep, numpy's on the vector sweep. The pairs are exact
+    # conjugates and p(conj z) = conj p(z) in product form, so the two members of a pair get
+    # equal residuals on both sweeps, and equal backward errors from _eval_at
+    monkeypatch.setattr(spectra, "VECTOR_SWEEP_MIN_N", 0 if vector else math.inf)
+    rng = np.random.default_rng(24)
+    for n in (3, 4, 5, 7, 10, 12, 13, 20, 33, 40):
+        rings = [
+            RingParams(n, tuple(rng.uniform(-3, 3, n)), tuple(rng.uniform(-3, 3, n))),
+            oracles.construct_hopf_ring(n, rng)[0],
+            oracles.construct_grid_double_ring(n, rng)[0],
+        ]
+        for r in rings:
+            s, a, c = eigenvalues(r), r.a, r.coupling_product()
+            p, _, etas = spectra._eval_points(a, c, s.eigenvalues)
+            assert s.residuals == tuple(abs(complex(v)) for v in p)
+            assert s.backward_error == max(etas)
+            scalar = [spectra._eval_at(a, c, m) for m in s.eigenvalues]
+            for mu, residual, (_, _, eta) in zip(s.eigenvalues, s.residuals, scalar):
+                partner = s.eigenvalues.index(mu.conjugate())
+                assert residual == s.residuals[partner]
+                assert eta == scalar[partner][2]
+            if not vector:
+                assert s.residuals == tuple(abs(v) for v, _, _ in scalar)

@@ -23,6 +23,8 @@ from ringhopf.simulate import find_limit_cycle
 from ringhopf.spectra import Spectrum, eigenvalues
 
 NON_HOPF_RING = RingParams(3, (1.0, -2.0, -3.0), (1.0, 1.0, -7.0))
+# a Hopf pair at +-1e-3 i beside a root at -1e6: at n = 3 so low a pair needs a_2 + a_3 to cancel
+CANCELLING_HOPF_RING = RingParams(3, (-1e6, -2e-3, 0.001999999995), (1.0, 1.0, -4.999999873689376))
 # two rings whose roots span nine decades, so no one scale fits every root: a pair near
 # -1e-3 +- i off the axis beside a root near -1e6; and a 4-node ring with a pair on the axis
 # at +-1e-3 i beside a root at -1e6, its coupling product c = -A(i omega) set as in
@@ -153,9 +155,22 @@ def test_limit_cycle_of_the_reference_ring_in_other_time_units():
 
 
 def test_not_a_hopf_point_names_the_identity_tolerance_at_the_ring_scale():
+    # PRODUCT_REL_TOL times the componentwise size (1 + 2)(1 + 3)(2 + 3) = 60, times delta^3
     ring = time_rescale(NON_HOPF_RING, 1e-6)
-    with pytest.raises(NotAHopfPointError, match=r"\|lhs - rhs\| = 3\.000e-18 \(tolerance 1\.000e-26\)"):
+    with pytest.raises(NotAHopfPointError, match=r"\|lhs - rhs\| = 3\.000e-18 \(tolerance 6\.000e-26\)"):
         sign_constraints(ring)
+
+
+@pytest.mark.parametrize("delta", [1.0, 1e-3, 1024.0, 1e6])
+def test_a_cancelling_pair_sum_reads_as_a_hopf_point_in_every_time_unit(delta):
+    # a_2 + a_3 = -5e-12 keeps about 8 digits, so lhs and rhs differ by 2e-8 of |lhs|: more
+    # than 1e-9 max(|lhs|, |rhs|), which flipped the answer with the time unit, but far less
+    # than 1e-9 of the componentwise size (|a_1| + |a_2|)(|a_1| + |a_3|)(|a_2| + |a_3|)
+    ring = time_rescale(CANCELLING_HOPF_RING, delta)
+    assert eigenvalues(ring).omega == pytest.approx(1e-3 * delta, rel=1e-6)
+    report = hopf_conditions_3(ring)
+    assert report.is_hopf_point and report.product_identity
+    assert report.product_size == pytest.approx(4e9 * delta**3, rel=1e-6)
 
 
 def test_each_root_is_judged_on_the_axis_at_its_own_size():

@@ -1,6 +1,7 @@
 """Per-layer timings of ringhopf, best of k, pinned to one CPU.
 
-    PYTHONPATH=src python tools/layers.py [--sizes 3 10 20 40 64] [--repeat 3] [--cli K] [--json FILE]
+    PYTHONPATH=src python tools/layers.py [--sizes 3 10 20 40 64] [--repeat 3] [--cli K] [--tier1]
+                                          [--json FILE]
 
 For each ring size, the same RINGS random rings (a_j, b_j ~ U(-3, 3), fixed
 seed) go through `eigenvalues` on each Aberth sweep, `char_poly`, the two
@@ -13,8 +14,10 @@ microseconds; a layer that raised on some rings says on how many.
 With --cli K, each subcommand also runs K times as a child process on a
 small input, beside a bare interpreter and a bare `import numpy`; each row
 is the median wall time, the children take turns, and a row says how many
-runs exited nonzero. The process, and so every child, runs on one CPU
-while it measures and gets its CPUs back after.
+runs exited nonzero. With --tier1, the tier-1 suite (TIER1, run from the
+repository root) runs once as a child, and its row is the wall time and the
+number of tests that failed or errored. The process, and so every child,
+runs on one CPU while it measures and gets its CPUs back after.
 With --json FILE, the run (its rows, the machine, the pinned CPU and the git
 revision of the ringhopf it imported) is appended to the JSON list in FILE,
 so one file holds a trajectory of readings; BENCH_layers.json is that file.
@@ -29,6 +32,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -49,6 +53,8 @@ K_MAX = 3
 RK4_STEPS = 20_000
 # the reference ring of the paper, with cubic terms -1, just past its Hopf point
 RK4_FAMILY = AdmissibleOdeFamily(RingParams(3, (1.0, -2.0, -3.0), (1.0, 1.0, -10.0)), lam=0.1)
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 @contextlib.contextmanager
@@ -174,6 +180,19 @@ def measure_cli(k: int) -> list[tuple[str, int, float, int]]:
     ]
 
 
+def measure_tier1() -> tuple[str, int, float, int]:
+    """(row, 0, wall microseconds, tests failed or errored) of one run of TIER1 as a child."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ringhopf.__file__).resolve().parent.parent)}
+    t0 = time.perf_counter()
+    done = subprocess.run(TIER1, env=env, cwd=ROOT, capture_output=True, text=True)
+    seconds = time.perf_counter() - t0
+    # pytest's last line, as "2 failed, 472 passed, 1 error in 43.13s"; a run that ends without
+    # one, and exits nonzero, counts as one failure
+    summary = done.stdout.splitlines()[-1] if done.stdout.strip() else ""
+    failed = sum(int(k) for k, _ in re.findall(r"(\d+) (failed|errors?)\b", summary))
+    return ("tier-1 suite", 0, seconds * 1e6, failed or int(done.returncode != 0))
+
+
 def machine() -> dict:
     """The CPU model, the CPU count and the software the figures were taken with."""
     models = [line.split(":", 1)[1].strip() for line in Path("/proc/cpuinfo").read_text().splitlines()
@@ -217,6 +236,7 @@ def main(argv=None) -> list[tuple[str, int, float, int]]:
     parser.add_argument("--sizes", type=int, nargs="+", default=[3, 10, 20, 40, 64])
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--cli", type=int, default=0, metavar="K", help="also time the CLI, median of K runs")
+    parser.add_argument("--tier1", action="store_true", help="also time one run of the tier-1 suite")
     parser.add_argument("--json", type=Path, metavar="FILE", help="append the run to the JSON list in FILE")
     args = parser.parse_args(argv)
     cpus = os.sched_getaffinity(0)
@@ -225,10 +245,12 @@ def main(argv=None) -> list[tuple[str, int, float, int]]:
         rows = measure(args.sizes, args.repeat)
         if args.cli:
             rows += measure_cli(args.cli)
+        if args.tier1:
+            rows.append(measure_tier1())
     finally:
         os.sched_setaffinity(0, cpus)
     for name, n, us, failed in rows:
-        note = f"  ({failed} calls raised)" if failed else ""
+        note = f"  ({failed} failed)" if failed else ""
         size = f"n = {n:3d}" if n else " " * 7
         print(f"{name:34s} {size}  {us:12.2f} us{note}")
     if args.json:
