@@ -11,7 +11,7 @@ no dense coefficient. Aberth-Ehrlich iteration starts root k at
 a_k + |c|^(1/n) e^(2 pi i (k + 1/4)/n), inside the disks about the a_j
 that hold every root, and stops each root at the rounding floor of its
 backward error. The power sums sum z = sum a_j, sum z^2 = sum a_j^2 are
-checked in one pass, close roots polished, and conjugates symmetrised. A multiple
+checked in one pass, close roots polished, conjugates symmetrised. A multiple
 root needs p' = A' = 0: at a repeated a_j, where p = c, or at the one
 simple root xi of A' in a gap between neighbouring distinct a_j, where
 A'' != 0. So with c = 0 the roots are the a_j, on which the iteration
@@ -280,7 +280,7 @@ def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
         z = z.tolist() if vector else z
         # c is the constant term only, so it leaves the first two power sums alone
         s1 = s2 = r1 = r2 = 0.0
-        for m in z:  # one pass; _eval_at took each abs(m) already, so none overflows here
+        for m in z:  # one pass; the gate's evaluation took each abs(m) already, so none overflows
             s1, s2, r1, r2 = s1 + m, s2 + m * m, r1 + abs(m), r2 + abs(m) * abs(m)
         for k, got, mods, terms in ((1, s1, r1, a), (2, s2, r2, [v * v for v in a])):
             try:
