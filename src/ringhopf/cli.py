@@ -130,15 +130,13 @@ def cmd_phases(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    if args.kmax is not None and args.gap_tol is not None:
+        raise ValueError("--gap-tol bounds the removal of multiple eigenvalues, which --kmax replaces")
     ring = model.load_ring(args.ring)
     if args.kmax is not None:
-        result = genericity.remove_resonances(
-            ring, k_max=args.kmax, epsilon=args.epsilon
-        )
+        result = genericity.remove_resonances(ring, k_max=args.kmax, epsilon=args.epsilon)
     else:
-        result = genericity.remove_multiple(
-            ring, epsilon=args.epsilon, gap_tol=args.gap_tol
-        )
+        result = genericity.remove_multiple(ring, epsilon=args.epsilon, gap_tol=args.gap_tol)
     _write_output(json.dumps(result.to_dict(), indent=2), args.out)
     return EXIT_FOUND
 
@@ -284,7 +282,6 @@ def main(argv=None) -> int:
         genericity.PerturbationBudgetError,
         spectra.RootFindingError,
     ) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

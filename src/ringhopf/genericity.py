@@ -216,45 +216,6 @@ class PerturbationResult(Record):
     margin: float  # distance from the final c to the nearest forbidden value or 0
 
 
-def _shift_coupling_product(
-    params: RingParams,
-    b_work: list[float],
-    forbidden_values,
-    epsilon: float,
-) -> list[float]:
-    """Move c into the widest forbidden-free subinterval reachable via b_1.
-
-    Returns the adjusted couplings. b_1 moves by at most epsilon/2. c = 0
-    is avoided as well, since it would require b_1 = 0.
-    """
-    n = params.n
-    sign = (-1) ** (n + 1)
-    rest = math.prod(b_work[1:])
-    c_now = sign * b_work[0] * rest
-    half_width = (epsilon / 2.0) * abs(rest)
-    lo, hi = c_now - half_width, c_now + half_width
-    avoid = (*forbidden_values, 0.0)
-    points = [lo] + sorted({v for v in avoid if lo < v < hi}) + [hi]
-    best_mid, best_margin = c_now, -math.inf
-    for left, right in zip(points[:-1], points[1:]):
-        if right - left <= 0:
-            continue
-        mid = (left + right) / 2.0
-        margin = min(abs(mid - v) for v in avoid)
-        if margin > best_margin:
-            best_mid, best_margin = mid, margin
-    if not math.isfinite(best_margin) or best_margin <= 0:
-        nearest = min(avoid, key=lambda v: abs(v - c_now))
-        raise PerturbationBudgetError(
-            f"epsilon={epsilon} cannot clear the forbidden set: c={c_now} moves by at most "
-            f"{half_width:.3e}, and the nearest value to avoid (forbidden, or 0) is "
-            f"{nearest}, {abs(nearest - c_now):.3e} from c"
-        )
-    b_new = list(b_work)
-    b_new[0] = sign * best_mid / rest
-    return b_new
-
-
 def _repair(
     params: RingParams,
     epsilon: float,
@@ -263,18 +224,41 @@ def _repair(
 ) -> PerturbationResult:
     """The repair both removals share; `found` notes what params has to lose.
 
-    Zero couplings become epsilon/2, then b_1 moves. With nothing found and no zero coupling,
-    params comes back unchanged, and its spectrum, which the caller has just solved, is the memo's.
+    Zero couplings become epsilon/2. Then b_1 moves, by at most epsilon/2, so that c goes to the
+    middle of the widest subinterval within reach that holds no forbidden value and not c = 0,
+    which would need b_1 = 0. With nothing found and no zero coupling, params comes back
+    unchanged, and its spectrum, which the caller has just solved, is the memo's.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     half = epsilon / 2.0
+    avoid = (*forbidden.values, 0.0)
     notes = [f"zero coupling b[{j}] replaced by {half}" for j, v in enumerate(params.b) if v == 0.0]
     perturbed = params
     if found or notes:
-        b_work = [v or half for v in params.b]
-        b_new = _shift_coupling_product(params, b_work, forbidden.values, epsilon)
-        perturbed = RingParams(params.n, params.a, tuple(b_new))
+        b = [v or half for v in params.b]
+        sign = (-1) ** (params.n + 1)
+        rest = math.prod(b[1:])
+        c_now = sign * b[0] * rest
+        half_width = half * abs(rest)
+        lo, hi = c_now - half_width, c_now + half_width
+        points = [lo] + sorted({v for v in avoid if lo < v < hi}) + [hi]
+        best_mid, best_margin = c_now, -math.inf
+        for left, right in zip(points[:-1], points[1:]):
+            if right - left <= 0:
+                continue
+            mid = (left + right) / 2.0
+            margin = min(abs(mid - v) for v in avoid)
+            if margin > best_margin:
+                best_mid, best_margin = mid, margin
+        if not math.isfinite(best_margin) or best_margin <= 0:
+            nearest = min(avoid, key=lambda v: abs(v - c_now))
+            raise PerturbationBudgetError(
+                f"epsilon={epsilon} cannot clear the forbidden set: c={c_now} moves by at most "
+                f"{half_width:.3e}, and the nearest value to avoid (forbidden, or 0) is "
+                f"{nearest}, {abs(nearest - c_now):.3e} from c"
+            )
+        perturbed = RingParams(params.n, params.a, (sign * best_mid / rest, *b[1:]))
     c = perturbed.coupling_product()
     return PerturbationResult(
         original=params,
@@ -283,7 +267,7 @@ def _repair(
         achieved_gap=eigenvalues(perturbed).min_gap(),
         removed=tuple(notes + found),
         forbidden=forbidden,
-        margin=min(abs(c - v) for v in forbidden.values + (0.0,)),
+        margin=min(abs(c - v) for v in avoid),
     )
 
 

@@ -7,10 +7,11 @@ of steps. Node j reads only x_j and x_{j+1}, so the whole step loop for a
 ring of n nodes is generated once as straight-line Python source over
 local floats, compiled, and cached by n; the coefficients are arguments,
 so one kernel serves every family of that size. A step makes no function
-call and builds no list, and a hunt stores none of its settle steps. On a
-shared 2-core x86-64 machine (CPython 3.11, one CPU) a stored step takes
-1.5-2.4 us at n = 3, 3.7-5.2 us at n = 7, 20-23 us at n = 30 and 25-30 us
-at n = 40, an unstored one up to 10% less; a kernel compiles in 1-19 ms.
+call and builds no list; one run takes a hunt through its unstored settle
+and its tail, and one more each continuation. On a shared 2-core x86-64
+machine (CPython 3.11, one CPU) a stored step takes 1.5-2.4 us at n = 3,
+3.7-5.2 us at n = 7, 20-23 us at n = 30 and 25-30 us at n = 40, an
+unstored one up to 10% less; a kernel compiles in 1-19 ms.
 Phase differences are measured from the fundamental Fourier coefficients
 c_j over a window of whole periods; the reported Delta_j = arg(c_j / c_{j+1})
 uses the same orientation as the predicted phase shifts (node j relative
@@ -128,8 +129,8 @@ def _step_count(t_end: float, h: float, lam: float) -> int:
     return int(round(t_end / h))
 
 
-def _rk4(family: AdmissibleOdeFamily, x: np.ndarray, lam: float, h: float, skip: int, rows: int):
-    """`rows` states one RK4 step apart, the first after `skip` unstored steps from x."""
+def _rk4(family: AdmissibleOdeFamily, x: np.ndarray, lam: float, h: float, skip: int, rows: int, first: int):
+    """`rows` states one RK4 step apart, the first after `skip` unstored steps from x, step `first` of its run."""
     import numpy as np
     out = np.empty((rows, len(x)))
     failed = _rk4_kernel(len(x))(
@@ -137,7 +138,7 @@ def _rk4(family: AdmissibleOdeFamily, x: np.ndarray, lam: float, h: float, skip:
         *x.tolist(), *(np.asarray(family.base.a) + lam).tolist(), *family.base.b, *family.cubic,
     )
     if failed:
-        raise DivergenceError(f"trajectory diverged at t={failed * h:.6g}", failed)
+        raise DivergenceError(f"trajectory diverged at t={(first + failed) * h:.6g}", first + failed)
     return out
 
 
@@ -157,7 +158,7 @@ def integrate(
     x = np.asarray(x0, dtype=float)
     if x.shape != (n,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be a finite state of length {n}")
-    states = _rk4(family, x, lam, h, 0, n_steps + 1)
+    states = _rk4(family, x, lam, h, 0, n_steps + 1, 0)
     return Trajectory(times=h * np.arange(n_steps + 1), states=states, lam=lam, step=h)
 
 
@@ -265,11 +266,11 @@ def find_limit_cycle(
     The hunt starts from 0.1*sqrt(|lam|) times the real part of the
     critical eigenvector, close to the expected orbit. At lam = 0, the Hopf
     point, that seed is the equilibrium, so NoCycleError comes at once.
-    The settle is not stored; the tail, MEASURE_CYCLES + 2 linear periods
-    2*pi/omega on from the settled state, is. The cubic lengthens the true
-    period (12.7% on the reference ring at lam = 0.1), so when the tail has
-    fewer than MEASURE_CYCLES + 1 upward crossings of node 1 it goes on in
-    whole linear periods, at most MAX_EXTRA_PERIODS of them.
+    One kernel run steps through the settle without storing it and stores
+    the tail, MEASURE_CYCLES + 2 linear periods 2*pi/omega. The cubic
+    lengthens the true period (12.7% on the reference ring at lam = 0.1), so
+    a tail with fewer than MEASURE_CYCLES + 1 upward crossings of node 1 goes
+    on one run at a time, in at most MAX_EXTRA_PERIODS whole linear periods.
     """
     import numpy as np
     if lam == 0:
@@ -285,26 +286,22 @@ def find_limit_cycle(
         settle_time = max(40 * period_pred, 4.0 / max(abs(lam), 1e-6))
     x0 = 0.1 * math.sqrt(abs(lam)) * np.array(u).real
     measure_time = (MEASURE_CYCLES + 2) * period_pred
-    skip = max(_step_count(settle_time + measure_time, h, lam) - int(round(measure_time / h)), 0)
-    states = _rk4(family, x0, lam, h, skip, 1)  # a settle_time below 0 settles for none
-    try:
-        states = integrate(family, states[0], measure_time, h, lam=lam).states
-        times = h * np.arange(skip, skip + len(states))
-        extra = 0
-        while extra < MAX_EXTRA_PERIODS:
-            missing = MEASURE_CYCLES + 1 - len(_node1_crossings(times, states)[1])
-            if missing <= 0:
-                break
-            periods = min(missing + 1, MAX_EXTRA_PERIODS - extra)
-            more = integrate(family, states[-1], periods * period_pred, h, lam=lam)
-            times = np.concatenate((times, times[-1] + more.times[1:]))
-            states = np.concatenate((states, more.states[1:]))
-            extra += periods
-    except DivergenceError as exc:  # count the failing step from the start of the hunt
-        if exc.step is None:
-            raise
-        step = skip + len(states) - 1 + exc.step
-        raise DivergenceError(f"trajectory diverged at t={step * h:.6g}", step) from None
+    total = _step_count(settle_time + measure_time, h, lam)
+    tail = _step_count(measure_time, h, lam)
+    skip = max(total - tail, 0)  # a settle_time below 0 settles for none
+    states = _rk4(family, x0, lam, h, skip, tail + 1, 0)
+    times = h * np.arange(skip, skip + len(states))
+    extra = 0
+    while extra < MAX_EXTRA_PERIODS:
+        missing = MEASURE_CYCLES + 1 - len(_node1_crossings(times, states)[1])
+        if missing <= 0:
+            break
+        periods = min(missing + 1, MAX_EXTRA_PERIODS - extra)
+        steps = _step_count(periods * period_pred, h, lam)
+        more = _rk4(family, states[-1], lam, h, 0, steps + 1, skip + len(states) - 1)
+        times = np.concatenate((times, times[-1] + h * np.arange(1, steps + 1)))
+        states = np.concatenate((states, more[1:]))
+        extra += periods
     return measure_cycle(Trajectory(times=times, states=states, lam=lam, step=h), period_tol=tol)
 
 

@@ -159,6 +159,17 @@ def test_perturb_with_kmax(capsys, reference_ring_file):
     assert doc["delta"] == 0.0
 
 
+def test_perturb_refuses_gap_tol_beside_kmax(capsys, tmp_path):
+    # --gap-tol bounds the multiplicity repair only, which --kmax replaces: together one would be ignored
+    path = tmp_path / "double4.json"
+    save(RingParams(4, (0.0, 0.0, 1.0, 1.0), (0.5,) * 4), path)  # double root at 1/2
+    code, _, err = run(capsys, ["perturb", str(path), "--gap-tol", "1e9"])
+    assert code == EXIT_ERROR and "<= gap_tol 1.000e+09" in err
+    code, out, err = run(capsys, ["perturb", str(path), "--kmax", "3", "--gap-tol", "1e9"])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: --gap-tol") and "--kmax" in err
+
+
 def test_spectrum_ring(capsys, reference_ring_file):
     code, out, _ = run(capsys, ["spectrum", reference_ring_file])
     assert code == EXIT_FOUND
@@ -206,6 +217,7 @@ def test_simulate_at_the_hopf_point_is_not_found(capsys, tmp_path, monkeypatch):
         raise AssertionError("integrate was called")
 
     monkeypatch.setattr(simulate, "integrate", refuse)
+    monkeypatch.setattr(simulate, "_rk4", refuse)
     path = tmp_path / "family.json"
     save(AdmissibleOdeFamily(oracles.REFERENCE_RING), path)
     code, out, _ = run(capsys, ["simulate", str(path), "--lambda", "0"])
@@ -334,9 +346,8 @@ def test_analyze_exact_b3_underflow_is_one_error_line(tmp_path):
     )
     assert (done.returncode, done.stdout) == (EXIT_ERROR, "")
     assert "Traceback" not in done.stderr
-    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
-    assert errors == ["error: b1*b2 = 1e-200 * 1e-200 = 0.0 underflows to zero, and "
-                      "b3 = (a1+a2)(a1+a3)(a2+a3) / (b1*b2) divides by it"]
+    assert done.stderr.splitlines() == ["error: b1*b2 = 1e-200 * 1e-200 = 0.0 underflows to zero, and "
+                                        "b3 = (a1+a2)(a1+a3)(a2+a3) / (b1*b2) divides by it"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -23,9 +23,13 @@ def test_layer_timings_run_at_n_3(tmp_path):
     assert [(r["layer"], r["n"], r["us"], r["failed"]) for r in run["rows"]] == rows
     assert run["pinned_cpu"] == min(cpus) and run["repeat"] == 1
     assert run["revision"] and run["machine"]["cpus"] == os.cpu_count()
-    # a second run goes after the first
-    layers.main(["--sizes", "3", "--repeat", "1", "--json", str(path)])
-    assert len(json.loads(path.read_text())) == 2
+    # with one pass its median and its worst are its best
+    assert all(r["median_us"] == r["worst_us"] == r["us"] for r in run["rows"])
+    # a second run goes after the first, and its rows spread from the best through the median to the worst
+    layers.main(["--sizes", "3", "--repeat", "3", "--json", str(path)])
+    first, second = json.loads(path.read_text())
+    assert first == run and second["repeat"] == 3
+    assert all(0 < r["us"] <= r["median_us"] <= r["worst_us"] for r in second["rows"])
     assert (os.sched_getaffinity(0), spectra.VECTOR_SWEEP_MIN_N) == (cpus, crossover)
     assert [name for name, *_ in rows] == [
         "eigenvalues, scalar sweep",

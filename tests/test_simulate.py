@@ -225,6 +225,7 @@ def test_hunt_at_the_hopf_point_raises_before_integrating(monkeypatch):
     # the default settle time at lambda = 0 is 4e6, about 2.5e9 RK4 steps,
     # and the default seed is the equilibrium: the hunt must not start
     monkeypatch.setattr(simulate, "integrate", _refuse_integration)
+    monkeypatch.setattr(simulate, "_rk4", _refuse_integration)
     fam = AdmissibleOdeFamily(oracles.REFERENCE_RING)
     with pytest.raises(NoCycleError, match=r"lambda=0\.0 is the Hopf point"):
         find_limit_cycle(fam, 0.0)
@@ -259,18 +260,19 @@ def test_hunt_equals_the_tail_of_one_integration(monkeypatch, lam, settle_time):
     full = integrate(fam, x0, settle_time + measure_time, h, lam=lam)
     keep = int(round(measure_time / h)) + 1
     want = measure_cycle(Trajectory(full.times[-keep:], full.states[-keep:], lam, h))
-    asked = []
+    stored, rk4 = [], simulate._rk4
 
-    def spy(family, x, t_end, step, lam=None):
-        asked.append(t_end)
-        return integrate(family, x, t_end, step, lam=lam)
+    def spy(family, x, lam, h, skip, rows, first):
+        stored.append(rows)
+        return rk4(family, x, lam, h, skip, rows, first)
 
-    monkeypatch.setattr(simulate, "integrate", spy)
+    monkeypatch.setattr(simulate, "_rk4", spy)
     got = find_limit_cycle(fam, lam, settle_time=settle_time)
     assert repr(got) == repr(want)
-    # only the tail and its continuations go through integrate, never the settle
+    # the kernel stores the tail and its continuations, never the settle
     period = TWO_PI / eigenvalues(fam.base).omega
-    assert asked and max(asked) <= (MEASURE_CYCLES + 2 + MAX_EXTRA_PERIODS) * period
+    assert stored and max(stored) - 1 <= (MEASURE_CYCLES + 2 + MAX_EXTRA_PERIODS) * period / h
+    assert stored[0] == keep
 
 
 @pytest.mark.parametrize("settle_time", [30.0, 10.0])
@@ -306,6 +308,22 @@ def test_hunt_divergence_by_an_overflowing_cube_in_the_settle():
         find_limit_cycle(fam, lam, settle_time=30.0)
     assert hunt.value.step == whole.value.step == 261
     assert str(hunt.value) == str(whole.value) == f"trajectory diverged at t={261 * h:.6g}"
+
+
+def test_hunt_divergence_in_a_continuation_is_timed_from_the_seed(monkeypatch):
+    # the default hunt at lambda = 0.1 stores its 48,000-step tail after 160,000 settle steps,
+    # then goes on for 8,000 steps: a failure at step 5 of those is step 208,005 of the hunt
+    kernel = simulate._rk4_kernel
+
+    def fail_the_continuation(n):
+        def rk4(out, skip, stop, *args):
+            return 5 if (skip, stop) == (0, n * 8001) else kernel(n)(out, skip, stop, *args)
+        return rk4
+
+    monkeypatch.setattr(simulate, "_rk4_kernel", fail_the_continuation)
+    with pytest.raises(DivergenceError) as hunt:
+        find_limit_cycle(AdmissibleOdeFamily(oracles.REFERENCE_RING), 0.1)
+    assert (hunt.value.step, str(hunt.value)) == (208_005, "trajectory diverged at t=326.733")
 
 
 def _outcome(fn, *args, **kwargs) -> str:

@@ -707,7 +707,7 @@ def test_branch_sweep_solves_the_base_ring_once(solves, monkeypatch):
     def diverge(*args, **kwargs):
         raise simulate.DivergenceError("not integrated")
 
-    monkeypatch.setattr(simulate, "integrate", diverge)
+    monkeypatch.setattr(simulate, "_rk4", diverge)
     rows = simulate.branch_sweep(AdmissibleOdeFamily(oracles.REFERENCE_RING), [-0.1, 0.05, 0.1])
     assert [row.diagnostic for row in rows] == ["not integrated"] * 3
     assert solves() == 1

@@ -21,6 +21,8 @@ runs on one CPU while it measures and gets its CPUs back after.
 With --json FILE, the run (its rows, the machine, the pinned CPU and the git
 revision of the ringhopf it imported) is appended to the JSON list in FILE,
 so one file holds a trajectory of readings; BENCH_layers.json is that file.
+Beside its figure, each row there records the median and the worst of its
+passes (of its K runs for a CLI row), so a reading shows its own spread.
 """
 
 from __future__ import annotations
@@ -92,9 +94,9 @@ def axis_rings(n: int) -> list[tuple[RingParams, float]]:
     return out
 
 
-def best_per_call(fn, inputs, repeat: int) -> tuple[float, int]:
-    """Best over `repeat` passes of the mean seconds per call, and the calls that raised."""
-    best, failed = math.inf, 0
+def per_call(fn, inputs, repeat: int) -> tuple[list[float], int]:
+    """The mean seconds per call of each of `repeat` passes, and the calls that raised in one pass."""
+    passes = []
     for _ in range(repeat):
         failed = 0
         t0 = time.perf_counter()
@@ -103,18 +105,19 @@ def best_per_call(fn, inputs, repeat: int) -> tuple[float, int]:
                 fn(x)
             except (RuntimeError, ValueError):
                 failed += 1
-        best = min(best, (time.perf_counter() - t0) / len(inputs))
-    return best, failed
+        passes.append((time.perf_counter() - t0) / len(inputs))
+    return passes, failed
 
 
-def measure(sizes, repeat: int) -> list[tuple[str, int, float, int]]:
-    """(layer, n, microseconds per call, calls that raised), one row per layer and size."""
+def measure(sizes, repeat: int) -> list[tuple[str, int, float, int, list[float]]]:
+    """(layer, n, best microseconds per call, calls that raised, every pass's microseconds per call),
+    one row per layer and size."""
     rows = []
     for n in sizes:
         batch = rings(n)
         for name, vector in (("eigenvalues, scalar sweep", False), ("eigenvalues, vector sweep", True)):
             with sweep(vector):
-                rows.append((name, n, *best_per_call(spectra.eigenvalues, batch, repeat)))
+                rows.append((name, n, *per_call(spectra.eigenvalues, batch, repeat)))
         layers = (
             ("char_poly", spectra.char_poly, batch),
             ("phase_shifts", lambda pair: phases.phase_shifts(*pair), axis_rings(n)),
@@ -124,15 +127,15 @@ def measure(sizes, repeat: int) -> list[tuple[str, int, float, int]]:
             ("remove_resonances, k <= 3", lambda r: genericity.remove_resonances(r, K_MAX, EPSILON), batch),
         )
         for name, fn, inputs in layers:
-            rows.append((name, n, *best_per_call(fn, inputs, repeat)))
+            rows.append((name, n, *per_call(fn, inputs, repeat)))
     h = 2 * math.pi / simulate.DEFAULT_STEPS_PER_PERIOD
     t_end = RK4_STEPS * h
     x0 = (0.1, 0.0, 0.0)
-    seconds, failed = best_per_call(lambda _: simulate.integrate(RK4_FAMILY, x0, t_end, h), [None], repeat)
-    rows.append(("RK4 step", 3, seconds / RK4_STEPS, failed))
+    passes, failed = per_call(lambda _: simulate.integrate(RK4_FAMILY, x0, t_end, h), [None], repeat)
+    rows.append(("RK4 step", 3, [s / RK4_STEPS for s in passes], failed))
     hunt = lambda _: simulate.find_limit_cycle(RK4_FAMILY, 0.1, settle_time=150.0)
-    rows.append(("find_limit_cycle", 3, *best_per_call(hunt, [None], repeat)))
-    return [(name, n, seconds * 1e6, failed) for name, n, seconds, failed in rows]
+    rows.append(("find_limit_cycle", 3, *per_call(hunt, [None], repeat)))
+    return [(name, n, min(passes) * 1e6, failed, [s * 1e6 for s in passes]) for name, n, passes, failed in rows]
 
 
 def cli_children(folder: Path) -> list[tuple[str, int, list[str]]]:
@@ -162,8 +165,9 @@ def cli_children(folder: Path) -> list[tuple[str, int, list[str]]]:
     ]
 
 
-def measure_cli(k: int) -> list[tuple[str, int, float, int]]:
-    """(row, ring size, median microseconds of k runs, runs that exited nonzero) per child."""
+def measure_cli(k: int) -> list[tuple[str, int, float, int, list[float]]]:
+    """(row, ring size, median microseconds of k runs, runs that exited nonzero, each run's
+    microseconds) per child."""
     env = {**os.environ, "PYTHONPATH": str(Path(ringhopf.__file__).resolve().parent.parent)}
     with tempfile.TemporaryDirectory() as folder:
         children = cli_children(Path(folder))
@@ -175,13 +179,14 @@ def measure_cli(k: int) -> list[tuple[str, int, float, int]]:
                 seconds[i].append(time.perf_counter() - t0)
                 failed[i] += done.returncode != 0
     return [
-        (name, n, statistics.median(s) * 1e6, fails)
+        (name, n, statistics.median(s) * 1e6, fails, [t * 1e6 for t in s])
         for (name, n, _), s, fails in zip(children, seconds, failed)
     ]
 
 
-def measure_tier1() -> tuple[str, int, float, int]:
-    """(row, 0, wall microseconds, tests failed or errored) of one run of TIER1 as a child."""
+def measure_tier1() -> tuple[str, int, float, int, list[float]]:
+    """(row, 0, wall microseconds, tests failed or errored, [wall microseconds]) of one run of
+    TIER1 as a child."""
     env = {**os.environ, "PYTHONPATH": str(Path(ringhopf.__file__).resolve().parent.parent)}
     t0 = time.perf_counter()
     done = subprocess.run(TIER1, env=env, cwd=ROOT, capture_output=True, text=True)
@@ -190,7 +195,7 @@ def measure_tier1() -> tuple[str, int, float, int]:
     # one, and exits nonzero, counts as one failure
     summary = done.stdout.splitlines()[-1] if done.stdout.strip() else ""
     failed = sum(int(k) for k, _ in re.findall(r"(\d+) (failed|errors?)\b", summary))
-    return ("tier-1 suite", 0, seconds * 1e6, failed or int(done.returncode != 0))
+    return ("tier-1 suite", 0, seconds * 1e6, failed or int(done.returncode != 0), [seconds * 1e6])
 
 
 def machine() -> dict:
@@ -226,7 +231,11 @@ def append_run(path: Path, rows, cpu: int, repeat: int) -> None:
         "machine": machine(),
         "pinned_cpu": cpu,
         "repeat": repeat,
-        "rows": [{"layer": name, "n": n, "us": us, "failed": failed} for name, n, us, failed in rows],
+        "rows": [
+            {"layer": name, "n": n, "us": us, "median_us": statistics.median(passes), "worst_us": max(passes),
+             "failed": failed}
+            for name, n, us, failed, passes in rows
+        ],
     })
     path.write_text(json.dumps(runs, indent=1) + "\n")
 
@@ -249,13 +258,13 @@ def main(argv=None) -> list[tuple[str, int, float, int]]:
             rows.append(measure_tier1())
     finally:
         os.sched_setaffinity(0, cpus)
-    for name, n, us, failed in rows:
+    for name, n, us, failed, _ in rows:
         note = f"  ({failed} failed)" if failed else ""
         size = f"n = {n:3d}" if n else " " * 7
         print(f"{name:34s} {size}  {us:12.2f} us{note}")
     if args.json:
         append_run(args.json, rows, min(cpus), args.repeat)
-    return rows
+    return [row[:4] for row in rows]
 
 
 if __name__ == "__main__":
