@@ -15,6 +15,7 @@ rounding of a pairwise sum that cancels.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,7 +67,18 @@ def hopf_conditions_3(params: RingParams, rel_tol: float = PRODUCT_REL_TOL) -> H
     trace = a1 + a2 + a3
     size = (abs(a1) + abs(a2)) * (abs(a1) + abs(a3)) * (abs(a2) + abs(a3))
     identity = abs(lhs - rhs) <= rel_tol * size
-    positivity = omega_sq > 0
+    positivity, negative = omega_sq > 0, rhs < 0
+    omega = math.sqrt(omega_sq) if positivity else None
+    if not sys.float_info.min <= size < math.inf:
+        # a size of 0, subnormal or past the float range: judge a and b scaled by the power of two that
+        # takes max |a_j| into [1/2, 1), which is exact and, as each side has degree 3, keeps the identity
+        e = math.frexp(max(map(abs, params.a)))[1]
+        s1, s2, s3, t1, t2, t3 = (math.ldexp(v, -e) for v in params.a + params.b)
+        w, t = s1 * s2 + s1 * s3 + s2 * s3, t1 * t2 * t3
+        positivity, negative = w > 0, t < 0
+        scaled = (abs(s1) + abs(s2)) * (abs(s1) + abs(s3)) * (abs(s2) + abs(s3))
+        identity = abs((s1 + s2) * (s1 + s3) * (s2 + s3) - t) <= rel_tol * scaled
+        omega = math.ldexp(math.sqrt(w), e) if positivity else None
     sums = (a1 + a2, a1 + a3, a2 + a3)
     return HopfReport(
         omega_sq=omega_sq,
@@ -74,13 +86,13 @@ def hopf_conditions_3(params: RingParams, rel_tol: float = PRODUCT_REL_TOL) -> H
         product_rhs=rhs,
         product_size=size,
         trace=trace,
-        omega=math.sqrt(omega_sq) if positivity else None,
+        omega=omega,
         positivity=positivity,
         product_identity=identity,
         first_bifurcation=trace < 0,
         marginal_excluded=trace != 0,
         pairwise_sums_negative=all(s < 0 for s in sums),
-        coupling_product_negative=rhs < 0,
+        coupling_product_negative=negative,
         is_hopf_point=positivity and identity,
     )
 

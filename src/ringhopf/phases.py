@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .hopf import hopf_conditions_3
 from .model import Record, RingParams, cyclic_relabel, require_valid
-from .spectra import AXIS_TOL, ZeroCouplingError, backward_error
+from .spectra import AXIS_TOL, ZeroCouplingError, eigenvalues
 
 TWO_PI = 2 * math.pi
 ZERO_TOL_FACTOR = 1e-10
@@ -84,8 +84,7 @@ def phase_shifts(params: RingParams, omega: float, force: bool = False) -> Phase
 
     `omega` is signed: a negative value selects the conjugate eigenvalue,
     and the resulting shifts satisfy theta_j(-w) = 2*pi - theta_j(w) mod 2*pi.
-    Unless `force` is given, i*omega must actually be an eigenvalue: its
-    backward error as a root of p may be at most AXIS_TOL, which every root in the axis band meets.
+    Unless `force` is given, |omega| must be within AXIS_TOL, relative, of the axis pair's frequency.
     """
     require_valid(params)
     if not 0 < abs(omega) < math.inf:
@@ -93,13 +92,14 @@ def phase_shifts(params: RingParams, omega: float, force: bool = False) -> Phase
     zero = [j for j, v in enumerate(params.b) if v == 0.0]
     if zero:
         raise ZeroCouplingError(f"b[{zero[0]}] = 0: phase shifts are undefined")
-    if not force:
-        eta = backward_error(params, 1j * omega)
-        if not eta <= AXIS_TOL:
-            raise ValueError(
-                f"i*{omega} is not an eigenvalue (backward error {eta:.3e} > "
-                f"{AXIS_TOL:.0e}); pass force=True for exploratory use"
-            )
+    found = None if force else eigenvalues(params).omega  # the ring's one axis frequency, if any
+    if not force and not (found and abs(abs(omega) - found) <= AXIS_TOL * found):
+        mu = min(eigenvalues(params).eigenvalues, key=lambda m: abs(m - 1j * omega))
+        why = f"the axis pair is at omega = {found!r}" if found else (
+            f"there is no axis pair: the root nearest i*omega is {mu:.6g}, |Re| {abs(mu.real):.3e} "
+            f"against AXIS_TOL |mu| {AXIS_TOL * abs(mu):.3e}")
+        raise ValueError(f"i*{omega} is not an eigenvalue to within AXIS_TOL = {AXIS_TOL:.0e}, relative "
+                         f"({why}); pass force=True for exploratory use")
     omega_sign = 1 if omega > 0 else -1
     zero_tol = _zero_tol(params)
     theta = []

@@ -36,10 +36,10 @@ Every tolerance is a dimensionless factor times the size of what it compares
 each root's own |mu|, and in the 0:1 and k:1 tests the pair frequency;
 GAP_TOL_FACTOR the spectral radius, or the least positive float when that
 is 0; PRODUCT_REL_TOL the componentwise size of the n = 3 identity;
-ZERO_TOL_FACTOR max |a_j|), so `time_rescale` changes no answer. No public
-function takes RESIDUAL_TOL or AXIS_TOL as an argument. Two keep another form:
-REAL_VALUE_TOL's 1 + |v|, bit for bit while the dense Q_k route stays, and
-simulate's AMPLITUDE_FLOOR and DIVERGENCE_NORM, which bound the state.
+ZERO_TOL_FACTOR max |a_j|), so `time_rescale` changes no answer. No function,
+public or private, takes RESIDUAL_TOL or AXIS_TOL as an argument. Two keep
+another form: REAL_VALUE_TOL's 1 + |v|, bit for bit while the dense Q_k route
+stays, and simulate's AMPLITUDE_FLOOR and DIVERGENCE_NORM, which bound the state.
 """
 
 from __future__ import annotations
@@ -175,13 +175,13 @@ def _backward_error(p: complex, scale: float) -> float:
     return eta if eta == eta and scale < math.inf else math.inf
 
 
-def _gate(etas, threshold: float) -> str | None:
-    """Why the backward errors fail the gate, or None."""
-    failed = [e for e in etas if not e <= threshold]
+def _gate(etas) -> str | None:
+    """Why the backward errors fail the gate at RESIDUAL_TOL, or None."""
+    failed = [e for e in etas if not e <= RESIDUAL_TOL]
     if failed:
         return (
             f"worst backward error {max(failed):.3e} exceeds the threshold "
-            f"{threshold:.3e} ({len(failed)} of {len(etas)} roots)"
+            f"{RESIDUAL_TOL:.3e} ({len(failed)} of {len(etas)} roots)"
         )
     return None
 
@@ -207,8 +207,7 @@ def _eval_points(a, c: float, z):
         inv = 1.0 / d
         # p' = -prod sum_j 1/d_j; scale = sum_j (|a_j| + |z|) prod_{i != j} |d_i|
         dp = -prod * inv.sum(axis=0)
-        inv = np.abs(inv)
-        scale = np.abs(prod) * (np.abs(av) @ inv + np.abs(z) * inv.sum(axis=0))
+        scale = np.abs(prod) * ((np.abs(av)[:, None] + np.abs(z)) * np.abs(inv)).sum(axis=0)
         p, den = prod + c, scale + abs(c)
         eta = np.abs(p) / den
     for k in np.flatnonzero(~(np.isfinite(dp) & (0 < scale) & (den < math.inf))):
@@ -230,7 +229,7 @@ def _vector_sweep(a, c: float, z, eta, active, start):
     return moving
 
 
-def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
+def _aberth_roots(a, c: float):
     """All roots of prod(a_j - z) + c by Aberth-Ehrlich iteration, and the sweeps taken.
 
     A root stops once its backward error is down to FREEZE_TOL. The power
@@ -248,7 +247,7 @@ def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
         start = wrap([v + radius * w for v, w in zip(a, _rotations(n, turn))])
         z, eta, active = wrap(start), wrap([math.inf] * n), wrap(range(n))
         try:
-            for _ in range(max_iter):
+            for _ in range(500):
                 sweeps += 1
                 if vector:
                     active = _vector_sweep(a, c, z, eta, active, start)
@@ -270,11 +269,11 @@ def _aberth_roots(a, c: float, threshold: float, max_iter: int = 500):
                     active = moving
                 if not len(active):
                     break
-            for k in active:  # still moving after max_iter sweeps
+            for k in active:  # still moving after 500 sweeps
                 eta[k] = _eval_at(a, c, complex(z[k]))[2]
         except (OverflowError, ZeroDivisionError):
             eta = [math.inf] * n
-        reason = _gate(eta, threshold)
+        reason = _gate(eta)
         if reason:
             continue
         z = z.tolist() if vector else z
@@ -375,7 +374,7 @@ def _clusters(roots, tol: float) -> list[list[int]]:
     return sorted(sorted(g) for g in {id(g): g for g in group.values()}.values())
 
 
-def _polish_clusters(roots, a, c: float, threshold: float) -> list[complex]:
+def _polish_clusters(roots, a, c: float) -> list[complex]:
     """The roots, each close pair apart from every other root snapped onto the xi of its gap
     when xi lies as close to its centre and passes the gate; see the module docstring."""
     if c == 0:
@@ -386,7 +385,7 @@ def _polish_clusters(roots, a, c: float, threshold: float) -> list[complex]:
         k = bisect.bisect_right(s, centre.real) - 1
         if 0 <= k < len(s) - 1 and s[k] < centre.real:
             xi = _critical_point(s, k)
-            if abs(xi - centre) < tol and _eval_at(a, c, xi)[2] <= threshold:
+            if abs(xi - centre) < tol and _eval_at(a, c, xi)[2] <= RESIDUAL_TOL:
                 out[i] = out[j] = complex(xi)
     return out
 
@@ -396,6 +395,8 @@ def axis_pairs(roots) -> list[list[complex]]:
 
     Each root is judged at its own size. Sorted by Im; a root joins the last group when its Im
     is within AXIS_TOL |mu| of that group's last member, so each group is one pair frequency.
+    A ring has at most one, and it is simple: |A(i w)|^2 = prod(a_j^2 + w^2) rises strictly in w, so
+    one w at most has A(i w) = -c, and A' = p' has only real roots; Spectrum.omega is that frequency.
     """
     on_axis = [m for m in roots if abs(m.real) < AXIS_TOL * abs(m) < m.imag]
     groups = []
@@ -425,12 +426,12 @@ def eigenvalues(params: RingParams) -> Spectrum:
 def _solve(params: RingParams) -> Spectrum:
     require_valid(params)
     a, c = params.a, params.coupling_product()
-    roots, sweeps = _aberth_roots(a, c, RESIDUAL_TOL)
+    roots, sweeps = _aberth_roots(a, c)
     # polish first: the two halves of a double root may both stop off the axis
-    roots = _polish_clusters(roots, a, c, RESIDUAL_TOL)
+    roots = _polish_clusters(roots, a, c)
     roots = _symmetrise_conjugates(roots, lambda x: _eval_at(a, c, x)[2] <= RESIDUAL_TOL)
     p, _, etas = _eval_points(a, c, roots)
-    reason = _gate(etas, RESIDUAL_TOL)
+    reason = _gate(etas)
     if reason:
         raise RootFindingError(f"symmetrised roots: {reason}")
     return Spectrum(

@@ -135,6 +135,17 @@ def test_phases_force_override(capsys, reference_ring_file):
     assert len(json.loads(out)["theta"]) == 3
 
 
+def test_phases_at_an_omega_off_the_axis_pair_is_one_error_line(capsys, tmp_path):
+    # every a_j lowered by 5e-8 moves the reference pair out of the axis band: analyze finds no
+    # pair, and phases at the old frequency agrees
+    path = tmp_path / "lowered.json"
+    save(RingParams(3, tuple(v - 5e-8 for v in oracles.REFERENCE_RING.a), oracles.REFERENCE_RING.b), path)
+    assert run(capsys, ["analyze", str(path)])[0] == EXIT_NOT_FOUND
+    code, out, err = run(capsys, ["phases", str(path), "--omega", "1"])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: i*1.0 is not an eigenvalue") and err.count("\n") == 1
+
+
 def test_phases_force_at_an_omega_whose_angle_underflows(capsys, reference_ring_file):
     code, out, _ = run(capsys, ["phases", reference_ring_file, "--omega", "5e-324", "--force"])
     assert code == EXIT_FOUND

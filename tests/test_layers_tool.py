@@ -53,9 +53,10 @@ def test_layer_timings_solve_on_every_call(solves):
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     layers.main(["--sizes", "3", "--repeat", "2"])
-    # per pass: both eigenvalues sweeps and the two removals, none of whose rings is repaired;
-    # the cycle hunt solves its base ring once, and its second pass finds it in the memo
-    assert solves() == 2 * 4 * layers.RINGS + 1
+    # per pass: both eigenvalues sweeps, phase_shifts' check of each axis ring, and the two
+    # removals, none of whose rings is repaired; the cycle hunt solves its base ring once, and
+    # its second pass finds it in the memo
+    assert solves() == 2 * 5 * layers.RINGS + 1
 
 
 def test_forbidden_set_rows_compute_on_every_call(eigensolves, critical_points):
@@ -96,16 +97,24 @@ def test_cli_rows_time_every_subcommand_as_a_child():
     assert all(0 < us < 60e6 and failed == 0 for _, _, us, failed in cli_rows)
 
 
-def test_tier1_row_times_one_run_of_the_suite_as_a_child(monkeypatch):
+def test_tier1_row_times_one_run_of_the_suite_as_a_child(monkeypatch, tmp_path):
     # a stub child stands in for the suite, which would otherwise run itself
     spec = importlib.util.spec_from_file_location("layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    stub = "print('FAILED tests/a.py::b'); print('2 failed, 470 passed, 1 error in 0.01s'); raise SystemExit(1)"
+    stub = (
+        "print('1.25s call     tests/a.py::b'); print('0.50s setup    tests/a.py::c[x-1]'); "
+        "print('2.00s call     tests/d.py::e'); "
+        "print('FAILED tests/a.py::b'); print('2 failed, 470 passed, 1 error in 0.01s'); raise SystemExit(1)"
+    )
     monkeypatch.setattr(layers, "TIER1", [sys.executable, "-c", stub])
-    rows = layers.main(["--sizes", "3", "--repeat", "1", "--tier1"])
+    path = tmp_path / "layers.json"
+    rows = layers.main(["--sizes", "3", "--repeat", "1", "--tier1", "--json", str(path)])
     assert len(rows) == 10 + 1  # the default rows come first, unchanged
     assert rows[-1][:2] == ("tier-1 suite", 0) and 0 < rows[-1][2] < 60e6 and rows[-1][3] == 3
+    # the seconds of each test file, summed over its duration rows
+    (run,) = json.loads(path.read_text())
+    assert run["tier1_files"] == {"tests/a.py": 1.75, "tests/d.py": 2.0}
     # a child that exits nonzero with no summary line counts as one failure
     monkeypatch.setattr(layers, "TIER1", [sys.executable, "-c", "raise SystemExit(4)"])
     assert layers.measure_tier1()[3] == 1

@@ -106,6 +106,42 @@ def test_phase_shifts_accept_every_pair_the_axis_band_admits(n, s, log2_delta, s
     phase_shifts(ring, found)
 
 
+def test_phase_shifts_reject_exactly_the_rings_without_an_axis_pair():
+    # lowering each a_j by s AXIS_TOL omega moves the pair that far off the axis, past the band
+    # |Re mu| < AXIS_TOL |mu| once s is about 1; on about one ring in eight the backward error of
+    # i omega stays within AXIS_TOL beyond that, so it cannot stand in for the band
+    rng = np.random.default_rng(11)
+    rejected = 0
+    for _ in range(500):
+        n = int(rng.integers(3, 13))
+        ring, omega = oracles.construct_hopf_ring(n, rng)
+        s = rng.uniform(0, 20)
+        ring = RingParams(n, tuple(v - s * AXIS_TOL * omega for v in ring.a), ring.b)
+        try:
+            phase_shifts(ring, omega)
+            raised = False
+        except ValueError as exc:
+            assert "not an eigenvalue" in str(exc)
+            raised = True
+        assert raised == (eigenvalues(ring).omega is None)
+        rejected += raised
+    assert 0 < rejected < 500
+
+
+def test_phase_shifts_name_the_root_nearest_i_omega_when_there_is_no_axis_pair():
+    ring = RingParams(3, tuple(v - 5e-8 for v in oracles.REFERENCE_RING.a), oracles.REFERENCE_RING.b)
+    assert eigenvalues(ring).omega is None
+    with pytest.raises(
+        ValueError,
+        match=r"^i\*-1\.0 is not an eigenvalue to within AXIS_TOL = 1e-08, relative \(there is no axis pair: "
+        r"the root nearest i\*omega is -5e-08-1j, \|Re\| 5\.000e-08 against AXIS_TOL \|mu\| 1\.000e-08\); "
+        r"pass force=True for exploratory use$",
+    ):
+        phase_shifts(ring, -1.0)
+    with pytest.raises(ValueError, match=r"^i\*2\.0 is not an eigenvalue .*\(the axis pair is at omega = 0\.99"):
+        phase_shifts(oracles.REFERENCE_RING, 2.0)
+
+
 def test_phase_shifts_force_overrides_check():
     profile = phase_shifts(oracles.REFERENCE_RING, 2.0, force=True)
     assert len(profile.theta) == 3

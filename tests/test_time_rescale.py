@@ -154,6 +154,23 @@ def test_limit_cycle_of_the_reference_ring_in_other_time_units():
     assert got.phase_diffs == pytest.approx(want.phase_diffs, abs=1e-6)
 
 
+def test_hopf_conditions_at_every_power_of_two_time_unit():
+    # past 2^340 the identity's size overflows and below 2^-359 its sides underflow, where
+    # |lhs - rhs| <= 1e-9 * inf, or 0 <= 0, held for a ring off its Hopf point and -inf - -inf
+    # failed for one on it
+    keys = ("positivity", "product_identity", "is_hopf_point", "coupling_product_negative")
+    for ring in (oracles.REFERENCE_RING, NON_HOPF_RING):
+        report = hopf_conditions_3(ring)
+        want = [getattr(report, k) for k in keys]
+        for e in range(-360, 346):
+            scaled = hopf_conditions_3(time_rescale(ring, 2.0**e))
+            assert [getattr(scaled, k) for k in keys] == want, e
+            assert scaled.omega == (report.omega and math.ldexp(report.omega, e)), e
+    # a product identity past the float range is no Hopf point, so no sign class is read off it
+    with pytest.raises(NotAHopfPointError):
+        sign_constraints(RingParams(3, (-1e103, -2e103, -3e103), (1.0, 1.0, 1.0)))
+
+
 def test_not_a_hopf_point_names_the_identity_tolerance_at_the_ring_scale():
     # PRODUCT_REL_TOL times the componentwise size (1 + 2)(1 + 3)(2 + 3) = 60, times delta^3
     ring = time_rescale(NON_HOPF_RING, 1e-6)

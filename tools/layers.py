@@ -16,8 +16,10 @@ small input, beside a bare interpreter and a bare `import numpy`; each row
 is the median wall time, the children take turns, and a row says how many
 runs exited nonzero. With --tier1, the tier-1 suite (TIER1, run from the
 repository root) runs once as a child, and its row is the wall time and the
-number of tests that failed or errored. The process, and so every child,
-runs on one CPU while it measures and gets its CPUs back after.
+number of tests that failed or errored; the run in FILE also gets the seconds
+of each test file, summed from the suite's --durations=0 rows. The process,
+and so every child, runs on one CPU while it measures and gets its CPUs back
+after.
 With --json FILE, the run (its rows, the machine, the pinned CPU and the git
 revision of the ringhopf it imported) is appended to the JSON list in FILE,
 so one file holds a trajectory of readings; BENCH_layers.json is that file.
@@ -56,7 +58,7 @@ RK4_STEPS = 20_000
 # the reference ring of the paper, with cubic terms -1, just past its Hopf point
 RK4_FAMILY = AdmissibleOdeFamily(RingParams(3, (1.0, -2.0, -3.0), (1.0, 1.0, -10.0)), lam=0.1)
 ROOT = Path(__file__).resolve().parent.parent
-TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0"]
 
 
 @contextlib.contextmanager
@@ -184,9 +186,9 @@ def measure_cli(k: int) -> list[tuple[str, int, float, int, list[float]]]:
     ]
 
 
-def measure_tier1() -> tuple[str, int, float, int, list[float]]:
-    """(row, 0, wall microseconds, tests failed or errored, [wall microseconds]) of one run of
-    TIER1 as a child."""
+def measure_tier1() -> tuple[str, int, float, int, list[float], dict[str, float]]:
+    """(row, 0, wall microseconds, tests failed or errored, [wall microseconds], seconds per test
+    file) of one run of TIER1 as a child."""
     env = {**os.environ, "PYTHONPATH": str(Path(ringhopf.__file__).resolve().parent.parent)}
     t0 = time.perf_counter()
     done = subprocess.run(TIER1, env=env, cwd=ROOT, capture_output=True, text=True)
@@ -195,7 +197,11 @@ def measure_tier1() -> tuple[str, int, float, int, list[float]]:
     # one, and exits nonzero, counts as one failure
     summary = done.stdout.splitlines()[-1] if done.stdout.strip() else ""
     failed = sum(int(k) for k, _ in re.findall(r"(\d+) (failed|errors?)\b", summary))
-    return ("tier-1 suite", 0, seconds * 1e6, failed or int(done.returncode != 0), [seconds * 1e6])
+    # each --durations row, as "0.52s call     tests/test_cli.py::test_log_env_variable"
+    files = {}
+    for t, path in re.findall(r"^(\d+\.\d+)s +(?:setup|call|teardown) +([^\s:]+)::", done.stdout, re.M):
+        files[path] = round(files.get(path, 0.0) + float(t), 2)
+    return ("tier-1 suite", 0, seconds * 1e6, failed or int(done.returncode != 0), [seconds * 1e6], files)
 
 
 def machine() -> dict:
@@ -223,10 +229,10 @@ def revision() -> str:
     return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
-def append_run(path: Path, rows, cpu: int, repeat: int) -> None:
+def append_run(path: Path, rows, cpu: int, repeat: int, tier1_files: dict[str, float] | None) -> None:
     """Add one run to the JSON list in path, which need not exist yet."""
     runs = json.loads(path.read_text()) if path.exists() else []
-    runs.append({
+    run = {
         "revision": revision(),
         "machine": machine(),
         "pinned_cpu": cpu,
@@ -236,7 +242,10 @@ def append_run(path: Path, rows, cpu: int, repeat: int) -> None:
              "failed": failed}
             for name, n, us, failed, passes in rows
         ],
-    })
+    }
+    if tier1_files is not None:
+        run["tier1_files"] = tier1_files
+    runs.append(run)
     path.write_text(json.dumps(runs, indent=1) + "\n")
 
 
@@ -254,8 +263,10 @@ def main(argv=None) -> list[tuple[str, int, float, int]]:
         rows = measure(args.sizes, args.repeat)
         if args.cli:
             rows += measure_cli(args.cli)
+        tier1_files = None
         if args.tier1:
-            rows.append(measure_tier1())
+            *row, tier1_files = measure_tier1()
+            rows.append(tuple(row))
     finally:
         os.sched_setaffinity(0, cpus)
     for name, n, us, failed, _ in rows:
@@ -263,7 +274,7 @@ def main(argv=None) -> list[tuple[str, int, float, int]]:
         size = f"n = {n:3d}" if n else " " * 7
         print(f"{name:34s} {size}  {us:12.2f} us{note}")
     if args.json:
-        append_run(args.json, rows, min(cpus), args.repeat)
+        append_run(args.json, rows, min(cpus), args.repeat, tier1_files)
     return [row[:4] for row in rows]
 
 
