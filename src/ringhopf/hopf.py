@@ -45,14 +45,26 @@ class HopfReport(Record):
     coupling_product_negative: bool
     is_hopf_point: bool  # positivity and product_identity
 
-    def not_a_hopf_point(self, need: str) -> NotAHopfPointError:
-        """The error for `need`: omega^2, the identity gap at PRODUCT_REL_TOL, the trace."""
-        tol = PRODUCT_REL_TOL * self.product_size
+    def not_a_hopf_point(self, need: str, params: RingParams) -> NotAHopfPointError:
+        """The error for `need`: omega^2, the identity gap at PRODUCT_REL_TOL, the trace; where
+        `hopf_conditions_3` judged `params` scaled by a power of two, the scaled ring's and the scale."""
+        omega_sq, gap, size, scale = self.omega_sq, abs(self.product_lhs - self.product_rhs), self.product_size, ""
+        if not sys.float_info.min <= size < math.inf:
+            e, omega_sq, lhs, rhs, size = _scaled_terms(params)
+            gap, scale = abs(lhs - rhs), f"on the ring scaled by 2^{-e}, "
         return NotAHopfPointError(
-            f"{need}: omega^2 = {self.omega_sq:.6g} (needs > 0), |lhs - rhs| = "
-            f"{abs(self.product_lhs - self.product_rhs):.3e} (tolerance {tol:.3e}), "
-            f"trace {self.trace:.6g}"
+            f"{need}: {scale}omega^2 = {omega_sq:.6g} (needs > 0), |lhs - rhs| = "
+            f"{gap:.3e} (tolerance {PRODUCT_REL_TOL * size:.3e}), trace {self.trace:.6g}"
         )
+
+
+def _scaled_terms(params: RingParams):
+    """e, and omega^2, lhs, rhs and the size of lhs for a and b scaled by 2^-e, the power of two that
+    takes max |a_j| into [1/2, 1): exact, and as each side has degree 3, it keeps the identity."""
+    e = math.frexp(max(map(abs, params.a)))[1]
+    s1, s2, s3, t1, t2, t3 = (math.ldexp(v, -e) for v in params.a + params.b)
+    size = (abs(s1) + abs(s2)) * (abs(s1) + abs(s3)) * (abs(s2) + abs(s3))
+    return e, s1 * s2 + s1 * s3 + s2 * s3, (s1 + s2) * (s1 + s3) * (s2 + s3), t1 * t2 * t3, size
 
 
 def hopf_conditions_3(params: RingParams, rel_tol: float = PRODUCT_REL_TOL) -> HopfReport:
@@ -70,14 +82,10 @@ def hopf_conditions_3(params: RingParams, rel_tol: float = PRODUCT_REL_TOL) -> H
     positivity, negative = omega_sq > 0, rhs < 0
     omega = math.sqrt(omega_sq) if positivity else None
     if not sys.float_info.min <= size < math.inf:
-        # a size of 0, subnormal or past the float range: judge a and b scaled by the power of two that
-        # takes max |a_j| into [1/2, 1), which is exact and, as each side has degree 3, keeps the identity
-        e = math.frexp(max(map(abs, params.a)))[1]
-        s1, s2, s3, t1, t2, t3 = (math.ldexp(v, -e) for v in params.a + params.b)
-        w, t = s1 * s2 + s1 * s3 + s2 * s3, t1 * t2 * t3
+        # a size of 0, subnormal or past the float range: judge the ring scaled by a power of two
+        e, w, scaled_lhs, t, scaled = _scaled_terms(params)
         positivity, negative = w > 0, t < 0
-        scaled = (abs(s1) + abs(s2)) * (abs(s1) + abs(s3)) * (abs(s2) + abs(s3))
-        identity = abs((s1 + s2) * (s1 + s3) * (s2 + s3) - t) <= rel_tol * scaled
+        identity = abs(scaled_lhs - t) <= rel_tol * scaled
         omega = math.ldexp(math.sqrt(w), e) if positivity else None
     sums = (a1 + a2, a1 + a3, a2 + a3)
     return HopfReport(
@@ -126,7 +134,7 @@ def sign_constraints(params: RingParams) -> SignConstraintReport:
     """Sign consequences of Hopf bifurcation from a stable equilibrium (n=3)."""
     report = hopf_conditions_3(params)
     if not (report.is_hopf_point and report.trace < 0):
-        raise report.not_a_hopf_point("sign constraints require an n=3 Hopf point with negative trace")
+        raise report.not_a_hopf_point("sign constraints require an n=3 Hopf point with negative trace", params)
     a1, a2, a3 = params.a
     sums = (a1 + a2, a1 + a3, a2 + a3)
     negatives = sum(1 for v in params.b if v < 0)

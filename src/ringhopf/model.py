@@ -194,7 +194,8 @@ class AdmissibleOdeFamily:
         return self.base.jacobian() + lam * np.eye(self.base.n)
 
     def vector_field(self, x: np.ndarray, lam: float | None = None) -> np.ndarray:
-        """((a_j + lam) x_j + b_j x_{j+1}) + g_j ((x_j x_j) x_j), rounded as the RK4 kernel rounds it."""
+        """((a_j + lam) x_j + b_j x_{j+1}) + g_j ((x_j x_j) x_j): the RK4 kernel's stage value for value,
+        with +-1 coefficients folded in there."""
         import numpy as np
         if lam is None:
             lam = self.lam

@@ -142,7 +142,7 @@ def classify_case(params: RingParams) -> CaseClassification:
         raise ValueError("case classification applies to n=3 rings only")
     report = hopf_conditions_3(params)
     if not report.is_hopf_point:
-        raise report.not_a_hopf_point("case classification requires a Hopf point")
+        raise report.not_a_hopf_point("case classification requires a Hopf point", params)
     zero_tol = _zero_tol(params)
     kinds = []
     for v in params.a:

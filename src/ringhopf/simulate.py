@@ -4,14 +4,18 @@ The integrator is classical fixed-step RK4: trajectories here are smooth,
 low-dimensional and long (the cycle attracts only at rate 2|lambda| near
 the Hopf point), and a fixed grid makes the Fourier windows an exact number
 of steps. Node j reads only x_j and x_{j+1}, so the whole step loop for a
-ring of n nodes is generated once as straight-line Python source over
-local floats, compiled, and cached by n; the coefficients are arguments,
-so one kernel serves every family of that size. A step makes no function
-call and builds no list; one run takes a hunt through its unstored settle
-and its tail, and one more each continuation. On a shared 2-core x86-64
-machine (CPython 3.11, one CPU) a stored step takes 1.5-2.4 us at n = 3,
-3.7-5.2 us at n = 7, 20-23 us at n = 30 and 25-30 us at n = 40, an
-unstored one up to 10% less; a kernel compiles in 1-19 ms.
+ring of n nodes is generated as straight-line Python source over local
+floats, compiled, and cached by n and by which couplings b_j and cubic
+coefficients g_j are exactly 1.0 or -1.0. Those are folded in as signs,
+which changes no bit; the other coefficients are arguments, so one kernel
+serves every lam. A step makes no function call and builds no list; one
+run takes a hunt through its unstored settle and its tail, and one more
+each continuation. On a shared 2-core x86-64 machine (CPython 3.11, one
+CPU) a stored step takes 1.5-2.4 us at n = 3, 3.7-5.2 us at n = 7, 20-23 us
+at n = 30 and 25-30 us at n = 40 with nothing folded; about 12-15% less on
+the reference family, whose b_1 = b_2 = 1 and default cubic -1 are folded,
+and 8-12% less at n = 7-40 with the cubic -1 alone folded. An unstored step
+takes up to 10% less; a kernel compiles in 1-19 ms.
 Phase differences are measured from the fundamental Fourier coefficients
 c_j over a window of whole periods; the reported Delta_j = arg(c_j / c_{j+1})
 uses the same orientation as the predicted phase shifts (node j relative
@@ -65,7 +69,11 @@ class Trajectory:
         return len(self.times) - 1
 
 
-@functools.cache
+def _unit(c: float) -> str | None:
+    """The sign that a coefficient of exactly 1.0 or -1.0 becomes in the kernel; None for any other."""
+    return "+" if c == 1.0 else "-" if c == -1.0 else None
+
+
 def _rk4_kernel(n: int):
     """The RK4 step loop for rings of n nodes, compiled from generated source.
 
@@ -74,14 +82,39 @@ def _rk4_kernel(n: int):
     out[0:n], steps on up to flat offset `stop` writing each state after it
     passes the divergence check, and returns 0, or the number (from x) of
     the step whose state left -limit <= x_j <= limit (NaN included). Each stage
-    is `AdmissibleOdeFamily.vector_field` operation for operation (its a_j + lam
-    is the a_j passed in), and the update x + (h/6)(((k1 + 2 k2) + 2 k3) + k4).
+    is `AdmissibleOdeFamily.vector_field` value for value, with +-1 coefficients
+    folded in (its a_j + lam is the a_j passed in), and the update is
+    x + (h/6)(((k1 + 2 k2) + 2 k3) + k4). The kernel is compiled once per n and
+    per set of b_j and g_j that are exactly 1.0 or -1.0: b_j * y_{j+1} becomes
+    +-y_{j+1} and + g_j * cube becomes +- cube, equal in IEEE arithmetic. a_j + lam
+    is never folded, so one kernel serves every lam, nor is a zero, as 0 * v
+    keeps the sign of v and 0 * inf is NaN.
     """
+
+    def rk4(out, skip, stop, h, limit, *args):
+        return _compiled_kernel(n, tuple(map(_unit, args[2 * n:])))(out, skip, stop, h, limit, *args)
+
+    return rk4
+
+
+@functools.cache
+def _compiled_kernel(n: int, units: tuple[str | None, ...]):
+    namespace = {}
+    exec(compile(_kernel_source(n, units), f"<rk4 kernel, n={n}>", "exec"), namespace)
+    return namespace["rk4"]
+
+
+def _kernel_source(n: int, units: tuple[str | None, ...]) -> str:
+    """The text of `_rk4_kernel`'s rk4 with the signs in `units` (b_0.., g_0..) folded in."""
     nodes = range(n)
+
+    def times(sign, c, v):
+        return f"+ {c} * {v}" if sign is None else f"{sign} {v}"
 
     def stage(k, y):
         return [
-            f"{k}_{j} = (a_{j} * {y}_{j} + b_{j} * {y}_{(j + 1) % n}) + g_{j} * (({y}_{j} * {y}_{j}) * {y}_{j})"
+            f"{k}_{j} = (a_{j} * {y}_{j} {times(units[j], f'b_{j}', f'{y}_{(j + 1) % n}')}) "
+            f"{times(units[n + j], f'g_{j}', f'(({y}_{j} * {y}_{j}) * {y}_{j})')}"
             for j in nodes
         ]
 
@@ -98,7 +131,7 @@ def _rk4_kernel(n: int):
         + [f"    return skip + i // {n}"]
     )
     params = ", ".join(f"{v}_{j}" for v in "xabg" for j in nodes)
-    source = "\n".join(
+    return "\n".join(
         [
             f"def rk4(out, skip, stop, h, limit, {params}):",
             "    half = 0.5 * h",
@@ -113,9 +146,6 @@ def _rk4_kernel(n: int):
             "    return 0",
         ]
     )
-    namespace = {}
-    exec(compile(source, f"<rk4 kernel, n={n}>", "exec"), namespace)
-    return namespace["rk4"]
 
 
 def _step_count(t_end: float, h: float, lam: float) -> int:

@@ -1,5 +1,6 @@
 """Tests for RK4 integration, cycle measurement and phase comparison."""
 
+import hashlib
 import math
 import re
 
@@ -92,49 +93,97 @@ def test_integrate_preserves_origin():
     assert np.all(traj.states == 0.0)
 
 
-@pytest.mark.parametrize("n", [3, 7])
+def _unit_families(n, rng):
+    """Families whose b_j and cubic_j run through 1.0, -1.0, 0.0, -0.0 and a generic value from
+    two starts, and one with the default cubic: the kernel folds the +-1.0 and must not fold the
+    zeros. Each has a zero coupling and every a_j <= -0.5, so a cubic of +1.0 stays in range."""
+
+    def coefficients(start, low, high):
+        return tuple((1.0, -1.0, 0.0, -0.0, rng.uniform(low, high))[(start + j) % 5] for j in range(n))
+
+    families = [
+        AdmissibleOdeFamily(
+            RingParams(n, tuple(rng.uniform(-1.5, -0.5, n)), coefficients(start, -1.0, 1.0)),
+            cubic=coefficients(start + 1, -1.5, -0.5),
+        )
+        for start in (0, 3)
+    ]
+    ring = RingParams(n, tuple(rng.uniform(-1.5, -0.5, n)), coefficients(2, -1.0, 1.0))
+    return families + [AdmissibleOdeFamily(ring)]
+
+
+@pytest.mark.parametrize("n", [3, 7, 40])
 def test_integrate_matches_numpy_rk4_bitwise(n):
     rng = np.random.default_rng(n)
     ring = RingParams(n, tuple(rng.uniform(-1.0, 0.5, n)), tuple(rng.uniform(-1.0, 1.0, n)))
     fam = AdmissibleOdeFamily(ring, cubic=tuple(rng.uniform(-1.5, -0.5, n)))
-    x0 = rng.uniform(-0.8, 0.8, n)
-    traj = integrate(fam, x0, t_end=5.0, h=0.01, lam=0.07)
-    ref = oracles.rk4_states(ring.a, ring.b, fam.cubic, 0.07, x0, 0.01, 500)
-    assert traj.states.shape == ref.shape
-    assert np.array_equal(traj.states, ref)
+    units = np.random.default_rng(300 + n)
+    for fam, x0 in [(fam, rng.uniform(-0.8, 0.8, n))] + [
+        (unit, units.uniform(-0.3, 0.3, n)) for unit in _unit_families(n, units)
+    ]:
+        traj = integrate(fam, x0, t_end=5.0, h=0.01, lam=0.07)
+        ref = oracles.rk4_states(fam.base.a, fam.base.b, fam.cubic, 0.07, x0, 0.01, 500)
+        assert traj.states.shape == ref.shape
+        assert np.array_equal(traj.states, ref)
 
 
-@pytest.mark.parametrize("n", [4, 40])
+@pytest.mark.parametrize("n", [3, 4, 7, 40])
 def test_integrate_matches_numpy_rk4_bitwise_per_family(n):
-    # two families of one size in a row: the kernel compiled for that size
-    # must take each family's coefficients, not keep the first one's
-    rng = np.random.default_rng(100 + n)
+    # families of one size in a row: the kernel run for that size must take each
+    # family's coefficients and its own pattern of +-1.0, not keep the first one's
+    rng, units = np.random.default_rng(100 + n), np.random.default_rng(400 + n)
     for lam in (0.07, -0.3):
         ring = RingParams(n, tuple(rng.uniform(-1.0, 0.5, n)), tuple(rng.uniform(-1.0, 1.0, n)))
         fam = AdmissibleOdeFamily(ring, cubic=tuple(rng.uniform(-1.5, -0.5, n)))
-        x0 = rng.uniform(-0.8, 0.8, n)
-        traj = integrate(fam, x0, t_end=2.0, h=0.01, lam=lam)
-        ref = oracles.rk4_states(ring.a, ring.b, fam.cubic, lam, x0, 0.01, 200)
-        assert np.array_equal(traj.states, ref)
+        for fam, x0 in [(fam, rng.uniform(-0.8, 0.8, n))] + [
+            (unit, units.uniform(-0.3, 0.3, n)) for unit in _unit_families(n, units)
+        ]:
+            traj = integrate(fam, x0, t_end=2.0, h=0.01, lam=lam)
+            ref = oracles.rk4_states(fam.base.a, fam.base.b, fam.cubic, lam, x0, 0.01, 200)
+            assert np.array_equal(traj.states, ref)
 
 
 @pytest.mark.parametrize("n", [3, 7, 40])
 def test_one_rk4_step_of_the_vector_field_is_the_kernel_step(n):
-    # the kernel's stages are vector_field, operation for operation, so one
-    # step assembled from it in numpy is the kernel's step bit for bit; a
-    # step this long carries a last-bit difference in a stage into the state,
-    # as when a cube came from numpy's `**` here and from C's pow there
+    # the kernel's stages are vector_field value for value, with +-1 coefficients
+    # folded in, so one step assembled from it in numpy is the kernel's step bit
+    # for bit; a step this long carries a last-bit difference in a stage into the
+    # state, as when a cube came from numpy's `**` here and from C's pow there
     rng = np.random.default_rng(200 + n)
     ring = RingParams(n, tuple(rng.uniform(-1.0, 0.5, n)), tuple(rng.uniform(-1.0, 1.0, n)))
     fam = AdmissibleOdeFamily(ring, cubic=tuple(rng.uniform(-1.5, -0.5, n)))
     h, lam = 0.5, -0.3
-    for x in rng.uniform(-2.0, 2.0, (50, n)):
-        k1 = fam.vector_field(x, lam)
-        k2 = fam.vector_field(x + 0.5 * h * k1, lam)
-        k3 = fam.vector_field(x + 0.5 * h * k2, lam)
-        k4 = fam.vector_field(x + h * k3, lam)
-        step = x + (h / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
-        assert np.array_equal(integrate(fam, x, h, h, lam).states[1], step)
+    units = np.random.default_rng(500 + n)
+    # states within 0.5: a cubic of +1.0 takes a state of 2 past DIVERGENCE_NORM in one such step
+    for fam, xs in [(fam, rng.uniform(-2.0, 2.0, (50, n)))] + [
+        (unit, units.uniform(-0.5, 0.5, (20, n))) for unit in _unit_families(n, units)
+    ]:
+        for x in xs:
+            k1 = fam.vector_field(x, lam)
+            k2 = fam.vector_field(x + 0.5 * h * k1, lam)
+            k3 = fam.vector_field(x + 0.5 * h * k2, lam)
+            k4 = fam.vector_field(x + h * k3, lam)
+            step = x + (h / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+            assert np.array_equal(integrate(fam, x, h, h, lam).states[1], step)
+
+
+def test_one_kernel_per_unit_pattern_and_the_unfolded_text_without_units(monkeypatch):
+    # a_j + lam is an argument, never folded, so a sweep over lambda compiles one kernel;
+    # a family with no coefficient of +-1.0 gets the kernel text from before folding
+    sources, source = [], simulate._kernel_source
+    monkeypatch.setattr(simulate, "_kernel_source", lambda n, units: sources.append(source(n, units)) or sources[-1])
+    simulate._compiled_kernel.cache_clear()
+    rows = branch_sweep(AdmissibleOdeFamily(oracles.REFERENCE_RING), [-0.1, 0.05, 0.1, 0.2], settle_time=10.0, h=0.05)
+    assert len(rows) == 4 and len(sources) == 1
+    assert "k1_0 = (a_0 * x_0 + x_1) - ((x_0 * x_0) * x_0)" in sources[0]
+    assert "k1_2 = (a_2 * x_2 + b_2 * x_0) - ((x_2 * x_2) * x_2)" in sources[0]
+    ring = RingParams(3, (1.0, -2.0, -3.0), (1.5, -0.0, -10.0))
+    integrate(AdmissibleOdeFamily(ring, cubic=(0.0, -1.5, -0.5)), np.ones(3), 1.0, 0.01, lam=0.1)
+    assert len(sources) == 2
+    assert "k1_1 = (a_1 * x_1 + b_1 * x_2) + g_1 * ((x_1 * x_1) * x_1)" in sources[1]
+    # sha256 of the n = 3 kernel text before +-1 coefficients were folded in
+    digest = "5eb3086b6f1204853a0e33b273f10ffe1e2164e4ea8ca8f18a216d16be02835b"
+    assert hashlib.sha256(sources[1].encode()).hexdigest() == digest
 
 
 def test_late_divergence_names_first_flagged_step():

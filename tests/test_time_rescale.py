@@ -178,6 +178,20 @@ def test_not_a_hopf_point_names_the_identity_tolerance_at_the_ring_scale():
         sign_constraints(ring)
 
 
+def test_not_a_hopf_point_quotes_the_scaled_ring_where_the_identity_overflows():
+    # (3e103)(4e103)(5e103) overflows, so in the ring's own units the gap and its tolerance
+    # both read inf; the verdict comes from the ring scaled by 2^-344, whose numbers the
+    # message quotes
+    ring = RingParams(3, (-1e103, -2e103, -3e103), (1, 1, 1))
+    with pytest.raises(
+        NotAHopfPointError,
+        match=r"^sign constraints require an n=3 Hopf point with negative trace: on the ring scaled by "
+        r"2\^-344, omega\^2 = 0\.856556 \(needs > 0\), \|lhs - rhs\| = 1\.304e\+00 \(tolerance 1\.304e-09\), "
+        r"trace -6e\+103$",
+    ):
+        sign_constraints(ring)
+
+
 @pytest.mark.parametrize("delta", [1.0, 1e-3, 1024.0, 1e6])
 def test_a_cancelling_pair_sum_reads_as_a_hopf_point_in_every_time_unit(delta):
     # a_2 + a_3 = -5e-12 keeps about 8 digits, so lhs and rhs differ by 2e-8 of |lhs|: more

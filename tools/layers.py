@@ -7,7 +7,9 @@ For each ring size, the same RINGS random rings (a_j, b_j ~ U(-3, 3), fixed
 seed) go through `eigenvalues` on each Aberth sweep, `char_poly`, the two
 forbidden sets (k <= 3), `remove_multiple` and `remove_resonances`, and
 RINGS rings with an axis pair through `phase_shifts`; one RK4 step and one
-`find_limit_cycle` hunt (settle time 150) are timed on a 3-node family.
+`find_limit_cycle` hunt (settle time 150) are timed on a 3-node family,
+RK4_FAMILY, whose b_1 = b_2 = 1 and cubic -1 make both rows time the kernel
+with those five coefficients folded in.
 Each batch holds distinct rings, so no memo answers.
 Each figure is the best of --repeat passes of the mean time per call, in
 microseconds; a layer that raised on some rings says on how many.
