@@ -12,9 +12,9 @@ serves every lam. A step makes no function call and builds no list; one
 run takes a hunt through its unstored settle and its tail, and one more
 each continuation. On a shared 2-core x86-64 machine (CPython 3.11, one
 CPU) a stored step takes 1.5-2.4 us at n = 3, 3.7-5.2 us at n = 7, 20-23 us
-at n = 30 and 25-30 us at n = 40 with nothing folded; about 12-15% less on
+at n = 30 and 25-30 us at n = 40 with nothing folded; about 15% less on
 the reference family, whose b_1 = b_2 = 1 and default cubic -1 are folded,
-and 8-12% less at n = 7-40 with the cubic -1 alone folded. An unstored step
+and 6-11% less at n = 7-40 with the cubic -1 alone folded. An unstored step
 takes up to 10% less; a kernel compiles in 1-19 ms.
 Phase differences are measured from the fundamental Fourier coefficients
 c_j over a window of whole periods; the reported Delta_j = arg(c_j / c_{j+1})
@@ -69,11 +69,6 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def _unit(c: float) -> str | None:
-    """The sign that a coefficient of exactly 1.0 or -1.0 becomes in the kernel; None for any other."""
-    return "+" if c == 1.0 else "-" if c == -1.0 else None
-
-
 def _rk4_kernel(n: int):
     """The RK4 step loop for rings of n nodes, compiled from generated source.
 
@@ -92,7 +87,8 @@ def _rk4_kernel(n: int):
     """
 
     def rk4(out, skip, stop, h, limit, *args):
-        return _compiled_kernel(n, tuple(map(_unit, args[2 * n:])))(out, skip, stop, h, limit, *args)
+        units = tuple("+" if c == 1.0 else "-" if c == -1.0 else None for c in args[2 * n:])
+        return _compiled_kernel(n, units)(out, skip, stop, h, limit, *args)
 
     return rk4
 
