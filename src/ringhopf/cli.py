@@ -4,7 +4,8 @@ Subcommands: analyze, tables, phases, perturb, simulate, spectrum.
 Exit codes: 0 when the queried feature is found, 2 when the analysis ran
 but the feature is absent (no Hopf point, no cycle), 1 on errors, so shell
 pipelines can branch on mathematical outcomes. Verbosity is controlled by
-the RINGHOPF_LOG environment variable.
+the RINGHOPF_LOG environment variable; `logging` is imported only when it is
+set, so a child that leaves it unset does not pay for the import.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ import csv
 import functools
 import io
 import json
-import logging
 import math
 import os
 import sys
 
 from . import genericity, hopf, model, phases, simulate, spectra
-
-log = logging.getLogger("ringhopf")
 
 EXIT_FOUND = 0
 EXIT_ERROR = 1
@@ -33,6 +31,12 @@ def _positive(value: str) -> float:
     if not 0 < v < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return v
+
+
+def _info(message: str) -> None:
+    """Log message at INFO on the "ringhopf" logger, where logging is already loaded."""
+    if "logging" in sys.modules:
+        sys.modules["logging"].getLogger("ringhopf").info(message)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -121,7 +125,7 @@ def cmd_phases(args) -> int:
     else:
         spectrum = spectra.eigenvalues(ring)
         if spectrum.omega is None:
-            log.info("no imaginary pair detected")
+            _info("no imaginary pair detected")
             return EXIT_NOT_FOUND
         omega = spectrum.omega
     profile = phases.phase_shifts(ring, omega, force=args.force)
@@ -148,7 +152,7 @@ def cmd_simulate(args) -> int:
     )
     rows = sweep(args.lam)
     if all(r.measurement is None for r in rows) and args.try_other_side:
-        log.info("no cycle on the requested side; retrying with lambda signs flipped")
+        _info("no cycle on the requested side; retrying with lambda signs flipped")
         rows = sweep([-lam for lam in args.lam])
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -270,8 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("RINGHOPF_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("RINGHOPF_LOG")
+    if level:
+        import logging
+        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

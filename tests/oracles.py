@@ -12,6 +12,8 @@ the package under test, so disagreements point at the implementation:
     dense coefficients, and the roots of A' certified to 40 digits,
   * the least distance between values and their close clusters by comparing
     every pair, the clusters by union-find,
+  * the scalar Aberth sweeps as a loop over lists of roots, with the
+    product-form evaluation they call,
   * constructions of rings with prescribed spectral features (an imaginary
     pair, a double eigenvalue, a 5-node 2:1 resonance).
 
@@ -22,6 +24,7 @@ and steering c places roots wherever A permits.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath
@@ -449,3 +452,59 @@ def dense_eigenvector_residual(params: RingParams, mu: complex, u) -> tuple[floa
     u = np.asarray(u, dtype=complex)
     norm = max(abs(x) + abs(y) for x, y in zip(params.a, params.b)) + abs(mu)
     return float(np.abs(J @ u - mu * u).max()), 1e-9 * norm * float(np.abs(u).max())
+
+
+def eval_at(a, c, z):
+    """p(z), p'(z) and the componentwise backward error of z, in one product-form loop."""
+    prod = 1.0 + 0.0j
+    dp = 0.0j
+    mod = 1.0
+    scale = 0.0
+    az = abs(z)
+    for v in a:
+        d = v - z
+        dp = dp * d - prod
+        prod *= d
+        ad = abs(d)
+        scale = scale * ad + (abs(v) + az) * mod
+        mod *= ad
+    p, scale = prod + c, scale + abs(c)
+    try:
+        eta = abs(p) / scale if scale else 0.0
+    except OverflowError:
+        return p, dp, math.inf
+    return p, dp, eta if eta == eta and scale < math.inf else math.inf
+
+
+def list_aberth_sweeps(a, c: float, freeze: float, start):
+    """(sweeps, roots, etas) of up to 500 Gauss-Seidel Aberth sweeps from the start points, the
+    loop over lists that `spectra._sweep_kernel(n)` must equal bit for bit. A root stops once
+    its eta is at most freeze; an iterate whose eta or step is not finite starts again; a root
+    still moving after 500 sweeps is evaluated again; a sweep that raises makes every eta inf."""
+    n = len(a)
+    sweeps = 0
+    z, eta, active = list(start), [math.inf] * n, list(range(n))
+    try:
+        for _ in range(500):
+            sweeps += 1
+            moving = []
+            for k in active:
+                zk = z[k]
+                p, dp, eta[k] = eval_at(a, c, zk)
+                if eta[k] <= freeze:
+                    continue
+                s = 0.0j
+                for zj in z:
+                    if zj != zk:
+                        s += 1.0 / (zk - zj)
+                new = zk - p / (dp - p * s)
+                z[k] = new if eta[k] < math.inf and cmath.isfinite(new) else start[k]
+                moving.append(k)
+            active = moving
+            if not len(active):
+                break
+        for k in active:
+            eta[k] = eval_at(a, c, complex(z[k]))[2]
+    except (OverflowError, ZeroDivisionError):
+        eta = [math.inf] * n
+    return sweeps, z, eta

@@ -348,6 +348,20 @@ def test_pure_python_paths_start_without_numpy(capsys, tmp_path, reference_ring_
         assert child.stdout.decode() == run(capsys, argv)[1], argv
 
 
+def test_children_import_logging_only_when_ringhopf_log_is_set(reference_ring_file, stable_ring_file):
+    # logging takes a child some milliseconds to import, for two INFO lines that the default
+    # level never prints; with RINGHOPF_LOG set, they still reach stderr
+    env = {k: v for k, v in CHILD_ENV.items() if k != "RINGHOPF_LOG"}
+    probe = NUMPY_PROBE.replace("'numpy'", "'logging'")
+    for argv in (["analyze", reference_ring_file], ["phases", reference_ring_file], ["phases", stable_ring_file]):
+        child = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True)
+        assert child.stderr.splitlines() == ["False"], argv
+    child = subprocess.run([sys.executable, "-m", "ringhopf.cli", "phases", stable_ring_file],
+                           env={**env, "RINGHOPF_LOG": "INFO"}, capture_output=True, text=True)
+    assert (child.returncode, child.stdout) == (EXIT_NOT_FOUND, "")
+    assert child.stderr == "INFO:ringhopf:no imaginary pair detected\n"
+
+
 def test_analyze_exact_b3_underflow_is_one_error_line(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text('{"n": 3, "a": [1, -2, -3], "b": [1e-200, 1e-200, -10]}')

@@ -691,6 +691,69 @@ def test_power_sums_reject_a_frozen_root_set_on_the_vector_sweep(monkeypatch):
         eigenvalues(r)
 
 
+def _aberth_outcome(monkeypatch, sweeps, a, c) -> tuple[list[str], str]:
+    """The repr of each run of `sweeps(n)` that `_aberth_roots` makes in place of the kernel, as
+    (sweeps, roots, etas), and the repr of its roots and sweeps or the text of its error."""
+    runs = []
+
+    def recorded(n):
+        def run(*args):
+            out = sweeps(n)(*args)
+            runs.append(repr(out))
+            return out
+        return run
+
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_sweep_kernel", recorded)
+        try:
+            outcome = repr(spectra._aberth_roots(a, c))
+        except RootFindingError as exc:
+            outcome = str(exc)
+    return runs, outcome
+
+
+@pytest.mark.parametrize("n", range(3, spectra.VECTOR_SWEEP_MIN_N))
+def test_sweep_kernel_equals_the_list_sweep_bit_for_bit(n, monkeypatch):
+    # repr keeps every bit of a float but a NaN's payload, so equal reprs are equal roots,
+    # signs of zero included; the overflowing and dividing rings fail both starts, after
+    # 1000 and 2 sweeps at n = 3
+    rng = np.random.default_rng(n)
+    rest = tuple(float(v) for v in range(n - 3))
+    cases = [(tuple(float(s * v) for v in rng.uniform(-3, 3, n)), float(s**n * math.prod(rng.uniform(-3, 3, n))))
+             for _ in range(8) for s in (1e-4, 1.0, 1e4)]
+    cases += [
+        (r.a, r.coupling_product()) for r in
+        (oracles.construct_grid_double_ring(n, rng)[0], oracles.construct_hopf_ring(n, rng)[0])
+    ]
+    cases += [
+        (tuple(float(v) for v in rng.integers(-2, 3, n)), 0.0),  # the roots are the a_j
+        ((1e155, 2e155, -3e155) + rest, (-1.0) ** (n + 1)),  # the product overflows
+        ((1e308, 1e308, 0.0) + rest, 0.0),  # an Aberth step divides by zero
+        ((1.0,) * n, 1e-20**n),  # a repeated a_j with couplings of 1e-20
+        ((1.0, -2.0, -3.0) + rest, math.inf),
+        ((1.0, -2.0, -3.0) + rest, math.nan),
+        (cases[0][0], -1.7976931348623157e308 / (n + 0.5)),  # p is finite, its scale is not
+    ]
+    kernel = spectra._sweep_kernel
+    for a, c in cases:
+        outcome = _aberth_outcome(monkeypatch, kernel, a, c)
+        assert outcome == _aberth_outcome(monkeypatch, lambda n: oracles.list_aberth_sweeps, a, c), (a, c)
+    if n == 3:
+        assert [_aberth_outcome(monkeypatch, kernel, a, c)[1] for a, c in cases[-6:-4]] == [
+            "worst backward error inf exceeds the threshold 1.000e-10 (3 of 3 roots) after 1000 sweeps",
+            "worst backward error inf exceeds the threshold 1.000e-10 (3 of 3 roots) after 2 sweeps",
+        ]
+    # the kernel for n is cached now, and reads FREEZE_TOL at each call: at 1e-3 the roots stop
+    # early, and below 0 none stops, so each is evaluated again after 500 sweeps
+    a, c = cases[1]
+    before = _aberth_outcome(monkeypatch, kernel, a, c)
+    for freeze in (1e-3, -1.0):
+        monkeypatch.setattr(spectra, "FREEZE_TOL", freeze)
+        after = _aberth_outcome(monkeypatch, kernel, a, c)
+        assert after != before
+        assert after == _aberth_outcome(monkeypatch, lambda n: oracles.list_aberth_sweeps, a, c)
+
+
 def test_small_rings_stay_on_the_scalar_sweep(monkeypatch):
     def refuse(*args):
         raise AssertionError("vector sweep entered")

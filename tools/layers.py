@@ -3,13 +3,17 @@
     PYTHONPATH=src python tools/layers.py [--sizes 3 10 20 40 64] [--repeat 3] [--cli K] [--tier1]
                                           [--json FILE]
 
-For each ring size, the same RINGS random rings (a_j, b_j ~ U(-3, 3), fixed
-seed) go through `eigenvalues` on each Aberth sweep, `char_poly`, the two
-forbidden sets (k <= 3), `remove_multiple` and `remove_resonances`, and
-RINGS rings with an axis pair through `phase_shifts`; one RK4 step and one
-`find_limit_cycle` hunt (settle time 150) are timed on a 3-node family,
-RK4_FAMILY, whose b_1 = b_2 = 1 and cubic -1 make both rows time the kernel
-with those five coefficients folded in.
+For each ring size, the scalar Aberth kernel is compiled afresh
+(`spectra._sweep_kernel`, its cache cleared before each pass), which is what
+a process pays the first time it solves a ring of that size; the rows after
+it find the kernel compiled. Then the same RINGS random rings (a_j, b_j ~
+U(-3, 3), fixed seed) go through `eigenvalues` on each Aberth sweep,
+`char_poly`, the two forbidden sets (k <= 3), `remove_multiple` and
+`remove_resonances`, and RINGS rings with an axis pair through
+`phase_shifts`; one RK4 step and one `find_limit_cycle` hunt (settle time
+150) are timed on a 3-node family, RK4_FAMILY, whose b_1 = b_2 = 1 and
+cubic -1 make both rows time the kernel with those five coefficients
+folded in.
 Each batch holds distinct rings, so no memo answers.
 Each figure is the best of --repeat passes of the mean time per call, in
 microseconds; a layer that raised on some rings says on how many.
@@ -113,12 +117,18 @@ def per_call(fn, inputs, repeat: int) -> tuple[list[float], int]:
     return passes, failed
 
 
+def compile_kernel(n: int) -> None:
+    spectra._sweep_kernel.cache_clear()
+    spectra._sweep_kernel(n)
+
+
 def measure(sizes, repeat: int) -> list[tuple[str, int, float, int, list[float]]]:
     """(layer, n, best microseconds per call, calls that raised, every pass's microseconds per call),
     one row per layer and size."""
     rows = []
     for n in sizes:
         batch = rings(n)
+        rows.append(("Aberth kernel compile", n, *per_call(compile_kernel, [n], repeat)))
         for name, vector in (("eigenvalues, scalar sweep", False), ("eigenvalues, vector sweep", True)):
             with sweep(vector):
                 rows.append((name, n, *per_call(spectra.eigenvalues, batch, repeat)))
