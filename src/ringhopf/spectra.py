@@ -29,10 +29,10 @@ product form, so `eigenvector_for` works at any scale of the ring. Below
 VECTOR_SWEEP_MIN_N roots each root steps in turn (Gauss-Seidel) in a kernel
 generated per n as straight-line Python over local variables, whose roots,
 sweeps and backward errors are those of a loop over lists bit for bit; it
-compiles once per n in a process, in about 2 ms at n = 3 and 7 ms at n = 11
-on one CPU of a shared x86-64 machine (CPython 3.11). From VECTOR_SWEEP_MIN_N
-roots on, a sweep moves all roots at once in numpy; both sweeps pass one
-backward-error gate. numpy is imported only where an array
+compiles once per n in a process, in about 1 ms at n = 3 and 6-7 ms at
+n = 11 on one CPU of a shared x86-64 machine (CPython 3.11). From
+VECTOR_SWEEP_MIN_N roots on, a sweep moves all roots at once in numpy; both
+sweeps pass one backward-error gate. numpy is imported only where an array
 is built, so a smaller ring is solved without loading it. A repeat
 `eigenvalues` call on the same ring object returns the same Spectrum.
 
@@ -325,13 +325,12 @@ def _aberth_roots(a, c: float):
     """
     n = len(a)
     radius = abs(c) ** (1.0 / n)
-    vector = n >= VECTOR_SWEEP_MIN_N
     sweeps = 0
     for turn in (0.25, 0.75):
         start = [v + radius * w for v, w in zip(a, _rotations(n, turn))]
-        if vector:
+        if n >= VECTOR_SWEEP_MIN_N:
             taken, z, eta = _vector_roots(a, c, start)
-        else:  # FREEZE_TOL is read here, so each call sees its current value
+        else:  # FREEZE_TOL is read here, so a cached kernel stops roots at its current value
             taken, z, eta = _sweep_kernel(n)(a, c, FREEZE_TOL, start)
         sweeps += taken
         reason = _gate(eta)

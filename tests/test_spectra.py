@@ -734,24 +734,24 @@ def test_sweep_kernel_equals_the_list_sweep_bit_for_bit(n, monkeypatch):
         ((1.0, -2.0, -3.0) + rest, math.nan),
         (cases[0][0], -1.7976931348623157e308 / (n + 0.5)),  # p is finite, its scale is not
     ]
-    kernel = spectra._sweep_kernel
+    kernel, oracle = spectra._sweep_kernel, lambda n: oracles.list_aberth_sweeps
+    outcomes = []
     for a, c in cases:
-        outcome = _aberth_outcome(monkeypatch, kernel, a, c)
-        assert outcome == _aberth_outcome(monkeypatch, lambda n: oracles.list_aberth_sweeps, a, c), (a, c)
+        outcomes.append(_aberth_outcome(monkeypatch, kernel, a, c))
+        assert outcomes[-1] == _aberth_outcome(monkeypatch, oracle, a, c), (a, c)
     if n == 3:
-        assert [_aberth_outcome(monkeypatch, kernel, a, c)[1] for a, c in cases[-6:-4]] == [
+        assert [text for _, text in outcomes[-6:-4]] == [
             "worst backward error inf exceeds the threshold 1.000e-10 (3 of 3 roots) after 1000 sweeps",
             "worst backward error inf exceeds the threshold 1.000e-10 (3 of 3 roots) after 2 sweeps",
         ]
     # the kernel for n is cached now, and reads FREEZE_TOL at each call: at 1e-3 the roots stop
     # early, and below 0 none stops, so each is evaluated again after 500 sweeps
     a, c = cases[1]
-    before = _aberth_outcome(monkeypatch, kernel, a, c)
     for freeze in (1e-3, -1.0):
         monkeypatch.setattr(spectra, "FREEZE_TOL", freeze)
         after = _aberth_outcome(monkeypatch, kernel, a, c)
-        assert after != before
-        assert after == _aberth_outcome(monkeypatch, lambda n: oracles.list_aberth_sweeps, a, c)
+        assert after != outcomes[1]
+        assert after == _aberth_outcome(monkeypatch, oracle, a, c)
 
 
 def test_small_rings_stay_on_the_scalar_sweep(monkeypatch):

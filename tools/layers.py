@@ -118,6 +118,7 @@ def per_call(fn, inputs, repeat: int) -> tuple[list[float], int]:
 
 
 def compile_kernel(n: int) -> None:
+    """Compile the scalar Aberth kernel for rings of n nodes afresh."""
     spectra._sweep_kernel.cache_clear()
     spectra._sweep_kernel(n)
 
