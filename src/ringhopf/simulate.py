@@ -69,8 +69,10 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def _rk4_kernel(n: int):
-    """The RK4 step loop for rings of n nodes, compiled from generated source.
+@functools.cache
+def _compiled_kernel(n: int, units: tuple[str | None, ...]):
+    """The RK4 step loop for rings of n nodes, compiled from generated source, with
+    `units` ("+" for 1.0, "-" for -1.0, else None, over b_0.., g_0..) folded in.
 
     rk4(out, skip, stop, h, limit, x_0..x_{n-1}, a_0.., b_0.., g_0..) takes
     `skip` steps from x that store nothing, writes the state reached to
@@ -85,23 +87,13 @@ def _rk4_kernel(n: int):
     is never folded, so one kernel serves every lam, nor is a zero, as 0 * v
     keeps the sign of v and 0 * inf is NaN.
     """
-
-    def rk4(out, skip, stop, h, limit, *args):
-        units = tuple("+" if c == 1.0 else "-" if c == -1.0 else None for c in args[2 * n:])
-        return _compiled_kernel(n, units)(out, skip, stop, h, limit, *args)
-
-    return rk4
-
-
-@functools.cache
-def _compiled_kernel(n: int, units: tuple[str | None, ...]):
     namespace = {}
     exec(compile(_kernel_source(n, units), f"<rk4 kernel, n={n}>", "exec"), namespace)
     return namespace["rk4"]
 
 
 def _kernel_source(n: int, units: tuple[str | None, ...]) -> str:
-    """The text of `_rk4_kernel`'s rk4 with the signs in `units` (b_0.., g_0..) folded in."""
+    """The text of `_compiled_kernel`'s rk4 with the signs in `units` (b_0.., g_0..) folded in."""
     nodes = range(n)
 
     def times(sign, c, v):
@@ -159,7 +151,8 @@ def _rk4(family: AdmissibleOdeFamily, x: np.ndarray, lam: float, h: float, skip:
     """`rows` states one RK4 step apart, the first after `skip` unstored steps from x, step `first` of its run."""
     import numpy as np
     out = np.empty((rows, len(x)))
-    failed = _rk4_kernel(len(x))(
+    units = tuple("+" if c == 1.0 else "-" if c == -1.0 else None for c in family.base.b + family.cubic)
+    failed = _compiled_kernel(len(x), units)(
         memoryview(out.reshape(-1)), skip, out.size, float(h), DIVERGENCE_NORM,
         *x.tolist(), *(np.asarray(family.base.a) + lam).tolist(), *family.base.b, *family.cubic,
     )

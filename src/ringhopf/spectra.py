@@ -29,8 +29,8 @@ product form, so `eigenvector_for` works at any scale of the ring. Below
 VECTOR_SWEEP_MIN_N roots each root steps in turn (Gauss-Seidel) in a kernel
 generated per n as straight-line Python over local variables, whose roots,
 sweeps and backward errors are those of a loop over lists bit for bit; it
-compiles once per n in a process, in about 1 ms at n = 3 and 6-7 ms at
-n = 11 on one CPU of a shared x86-64 machine (CPython 3.11). From
+compiles once per n in a process, in about 1 ms at n = 3 and 7-8 ms at
+n = 12 on one CPU of a shared x86-64 machine (CPython 3.11). From
 VECTOR_SWEEP_MIN_N roots on, a sweep moves all roots at once in numpy; both
 sweeps pass one backward-error gate. numpy is imported only where an array
 is built, so a smaller ring is solved without loading it. A repeat
@@ -64,7 +64,7 @@ POWER_SUM_TOL = 1e-6  # rounding moves the sums by about 1e-8, a lost root by a 
 PAIR_TOL = 1e-8
 AXIS_TOL = 1e-8
 EIGENVECTOR_RESIDUAL_TOL = 1e-9
-VECTOR_SWEEP_MIN_N = 12  # measured crossover of the two Aberth sweeps
+VECTOR_SWEEP_MIN_N = 13  # measured crossover of the two Aberth sweeps
 _memo = None  # (params, Spectrum) of the last solve, swapped whole
 _rotations = functools.cache(lambda n, turn: tuple(cmath.exp(2j * math.pi * (k + turn) / n) for k in range(n)))
 
@@ -206,8 +206,8 @@ def _eval_points(a, c: float, z):
         return zip(*[_eval_at(a, c, m) for m in z])
     import numpy as np
     av = np.array(a)
-    d = av[:, None] - z
     with np.errstate(all="ignore"):
+        d = av[:, None] - z
         prod = d.prod(axis=0)
         inv = 1.0 / d
         # p' = -prod sum_j 1/d_j; scale = sum_j (|a_j| + |z|) prod_{i != j} |d_i|

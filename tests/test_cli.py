@@ -409,6 +409,21 @@ def test_perturb_kmax_on_a_ring_whose_Q_k_overflows_is_one_error_line(tmp_path):
     assert len(errors) == 1 and errors[0].startswith("error: Q_2 of a ring with n = 64 has 35 of 128")
 
 
+@pytest.mark.parametrize("command", ["spectrum", "analyze"])
+def test_a_ring_whose_factors_overflow_numpy_is_one_error_line(tmp_path, command):
+    # the vector sweep's first product a_j - z passes the float range; numpy must not warn of it
+    n = spectra.VECTOR_SWEEP_MIN_N
+    path = tmp_path / "far.json"
+    save(RingParams(n, (-1.7e308,) * (n // 2) + (1.7e308,) * (n - n // 2), (1e25,) * n), path)
+    done = subprocess.run(
+        [sys.executable, "-m", "ringhopf.cli", command, str(path)], env=CHILD_ENV, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout) == (EXIT_ERROR, "")
+    assert done.stderr.splitlines() == [
+        f"error: worst backward error inf exceeds the threshold 1.000e-10 ({n} of {n} roots) after 1000 sweeps"
+    ]
+
+
 @pytest.mark.parametrize("argv", [["analyze", "{dir}"], ["tables", "--out", "{dir}"]])
 def test_a_directory_path_is_one_error_line(capsys, tmp_path, argv):
     code, out, err = run(capsys, [arg.format(dir=tmp_path) for arg in argv])

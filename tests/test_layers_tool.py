@@ -3,9 +3,11 @@
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
+import ringhopf
 from ringhopf import spectra
 
 LAYERS = Path(__file__).resolve().parent.parent / "tools" / "layers.py"
@@ -23,6 +25,11 @@ def test_layer_timings_run_at_n_3(tmp_path):
     assert [(r["layer"], r["n"], r["us"], r["failed"]) for r in run["rows"]] == rows
     assert run["pinned_cpu"] == min(cpus) and run["repeat"] == 1
     assert run["revision"] and run["machine"]["cpus"] == os.cpu_count()
+    # and the size of each module of the ringhopf it timed, as `wc -l` reads it
+    modules = sorted(Path(ringhopf.__file__).resolve().parent.glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *modules], capture_output=True, text=True, check=True).stdout.splitlines()
+    assert run["src_lines"] == {Path(path).name: int(count) for count, path in map(str.split, wc[:-1])}
+    assert len(run["src_lines"]) == len(modules) > 1
     # with one pass its median and its worst are its best
     assert all(r["median_us"] == r["worst_us"] == r["us"] for r in run["rows"])
     # a second run goes after the first, and its rows spread from the best through the median to the worst

@@ -362,14 +362,14 @@ def test_hunt_divergence_by_an_overflowing_cube_in_the_settle():
 def test_hunt_divergence_in_a_continuation_is_timed_from_the_seed(monkeypatch):
     # the default hunt at lambda = 0.1 stores its 48,000-step tail after 160,000 settle steps,
     # then goes on for 8,000 steps: a failure at step 5 of those is step 208,005 of the hunt
-    kernel = simulate._rk4_kernel
+    kernel = simulate._compiled_kernel
 
-    def fail_the_continuation(n):
+    def fail_the_continuation(n, units):
         def rk4(out, skip, stop, *args):
-            return 5 if (skip, stop) == (0, n * 8001) else kernel(n)(out, skip, stop, *args)
+            return 5 if (skip, stop) == (0, n * 8001) else kernel(n, units)(out, skip, stop, *args)
         return rk4
 
-    monkeypatch.setattr(simulate, "_rk4_kernel", fail_the_continuation)
+    monkeypatch.setattr(simulate, "_compiled_kernel", fail_the_continuation)
     with pytest.raises(DivergenceError) as hunt:
         find_limit_cycle(AdmissibleOdeFamily(oracles.REFERENCE_RING), 0.1)
     assert (hunt.value.step, str(hunt.value)) == (208_005, "trajectory diverged at t=326.733")
@@ -388,18 +388,21 @@ def test_negative_settle_time_settles_for_none():
     assert _outcome(find_limit_cycle, fam, 0.1, settle_time=-5.0) == none
 
 
-def _refuse_kernel(n):
+def _refuse_kernel(n, units):
     raise AssertionError("an RK4 kernel was asked for")
 
 
 def test_hunt_at_the_hopf_point_takes_no_step(monkeypatch):
     # the settle goes straight to the kernel, past integrate
-    monkeypatch.setattr(simulate, "_rk4_kernel", _refuse_kernel)
+    monkeypatch.setattr(simulate, "_compiled_kernel", _refuse_kernel)
     fam = AdmissibleOdeFamily(oracles.REFERENCE_RING)
     with pytest.raises(NoCycleError, match=r"lambda=0\.0 is the Hopf point"):
         find_limit_cycle(fam, 0.0)
     rows = branch_sweep(fam, [0.0])
     assert "lambda=0.0 is the Hopf point" in rows[0].diagnostic
+    # and the fake stands where a step would ask for its kernel
+    with pytest.raises(AssertionError, match="an RK4 kernel was asked for"):
+        find_limit_cycle(fam, 0.1)
 
 
 def test_limit_cycle_period_near_hopf(reference_cycle):

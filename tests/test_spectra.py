@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -418,6 +419,27 @@ def test_vector_sweep_near_the_top_of_the_float_range(monkeypatch):
         monkeypatch.setattr(spectra, "VECTOR_SWEEP_MIN_N", crossover)
         with pytest.raises(RootFindingError, match="backward error inf"):
             spectra._aberth_roots(a, c)
+
+
+def test_vector_sweep_on_a_ring_whose_factors_overflow_warns_of_nothing():
+    # a_j - z passes the float range in numpy's first product, which must read as an
+    # infinite backward error and fail the gate, not escape as a RuntimeWarning
+    n = spectra.VECTOR_SWEEP_MIN_N
+    ring = RingParams(n, (-1.7e308,) * (n // 2) + (1.7e308,) * (n - n // 2), (1e25,) * n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootFindingError, match=rf"backward error inf .* \({n} of {n} roots\)"):
+            eigenvalues(ring)
+
+
+def test_start_points_past_the_float_range_fail_both_sweeps_by_overflow():
+    # abs() of a factor a_j - z raises OverflowError in the first sweep of each; its catch
+    # makes every eta inf and keeps the starts, one sweep counted
+    n = spectra.VECTOR_SWEEP_MIN_N
+    got = spectra._vector_roots((-1.5e308,) * n, 1.0, [1.5e308j] * n)
+    assert got == (1, [1.5e308j] * n, [math.inf] * n)
+    got = spectra._sweep_kernel(3)((-1.5e308,) * 3, 1.0, spectra.FREEZE_TOL, [1.5e308j] * 3)
+    assert got == (1, [1.5e308j] * 3, [math.inf] * 3)
 
 
 def test_spectrum_records_iterations_and_backward_error():

@@ -26,9 +26,10 @@ number of tests that failed or errored; the run in FILE also gets the seconds
 of each test file, summed from the suite's --durations=0 rows. The process,
 and so every child, runs on one CPU while it measures and gets its CPUs back
 after.
-With --json FILE, the run (its rows, the machine, the pinned CPU and the git
-revision of the ringhopf it imported) is appended to the JSON list in FILE,
-so one file holds a trajectory of readings; BENCH_layers.json is that file.
+With --json FILE, the run (its rows, the machine, the pinned CPU, and the git
+revision and the `wc -l` of each module of the ringhopf it imported) is
+appended to the JSON list in FILE, so one file holds a trajectory of
+readings, the size of `src/` among them; BENCH_layers.json is that file.
 Beside its figure, each row there records the median and the worst of its
 passes (of its K runs for a CLI row), so a reading shows its own spread.
 """
@@ -242,11 +243,17 @@ def revision() -> str:
     return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
+def src_lines() -> dict[str, int]:
+    """The lines of each module of the ringhopf imported, counted as `wc -l` counts them."""
+    return {p.name: p.read_bytes().count(b"\n") for p in sorted(Path(ringhopf.__file__).parent.glob("*.py"))}
+
+
 def append_run(path: Path, rows, cpu: int, repeat: int, tier1_files: dict[str, float] | None) -> None:
     """Add one run to the JSON list in path, which need not exist yet."""
     runs = json.loads(path.read_text()) if path.exists() else []
     run = {
         "revision": revision(),
+        "src_lines": src_lines(),
         "machine": machine(),
         "pinned_cpu": cpu,
         "repeat": repeat,
