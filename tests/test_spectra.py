@@ -658,7 +658,7 @@ def test_eigenvector_for_a_rotated_run_that_overflows():
 
 
 @pytest.mark.parametrize(
-    "n", [spectra.VECTOR_SWEEP_MIN_N - 1, spectra.VECTOR_SWEEP_MIN_N, 40, 64]
+    "n", sorted({11, spectra.VECTOR_SWEEP_MIN_N - 1, spectra.VECTOR_SWEEP_MIN_N, 40, 64})
 )
 def test_both_sweeps_match_mpmath(n, monkeypatch):
     rng = np.random.default_rng(n)
