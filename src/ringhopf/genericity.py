@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .model import Record, RingParams, require_valid
 from .spectra import AXIS_TOL, RootFindingError, Spectrum, _clusters, _critical_point, a_poly_coeffs
-from .spectra import axis_pairs, eigenvalues
+from .spectra import CouplingUnderflowError, axis_pairs, eigenvalues
 
 GAP_TOL_FACTOR = 1e-7
 REAL_VALUE_TOL = 1e-9
@@ -240,6 +240,8 @@ def _repair(
         sign = (-1) ** (params.n + 1)
         rest = math.prod(b[1:])
         c_now = sign * b[0] * rest
+        if c_now == 0.0:  # no b_j is 0 now
+            raise CouplingUnderflowError(b)
         half_width = half * abs(rest)
         lo, hi = c_now - half_width, c_now + half_width
         points = [lo] + sorted({v for v in avoid if lo < v < hi}) + [hi]

@@ -10,12 +10,7 @@ coefficients g_j are exactly 1.0 or -1.0. Those are folded in as signs,
 which changes no bit; the other coefficients are arguments, so one kernel
 serves every lam. A step makes no function call and builds no list; one
 run takes a hunt through its unstored settle and its tail, and one more
-each continuation. On a shared 2-core x86-64 machine (CPython 3.11, one
-CPU) a stored step takes 1.5-2.4 us at n = 3, 3.7-5.2 us at n = 7, 20-23 us
-at n = 30 and 25-30 us at n = 40 with nothing folded; about 15% less on
-the reference family, whose b_1 = b_2 = 1 and default cubic -1 are folded,
-and 6-11% less at n = 7-40 with the cubic -1 alone folded. An unstored step
-takes up to 10% less; a kernel compiles in 1-19 ms.
+each continuation. README gives the measured cost of a step.
 Phase differences are measured from the fundamental Fourier coefficients
 c_j over a window of whole periods; the reported Delta_j = arg(c_j / c_{j+1})
 uses the same orientation as the predicted phase shifts (node j relative

@@ -21,7 +21,7 @@ spectral radius is snapped onto the xi of its gap when xi lies that near
 and passes the gate. Any other group keeps its own roots, each gated.
 One scan sorted by Re + Im finds the close roots (linked by distances below
 tol) for the polish and detect_multiple; min_gap compares every pair, and
-the conjugate pairing a near-real root with the conjugate of every root.
+the conjugate pairing a near-real root with the conjugates of roots near it.
 A root is accepted at componentwise backward error <= 1e-10, and
 it is real only when its real part also passes that gate. An eigenvector
 is accepted at eigenpair backward error <= 1e-9, taken row by row in
@@ -29,12 +29,10 @@ product form, so `eigenvector_for` works at any scale of the ring. Below
 VECTOR_SWEEP_MIN_N roots each root steps in turn (Gauss-Seidel) in a kernel
 generated per n as straight-line Python over local variables, whose roots,
 sweeps and backward errors are those of a loop over lists bit for bit; it
-compiles once per n in a process, in about 1 ms at n = 3 and 7-8 ms at
-n = 12 on one CPU of a shared x86-64 machine (CPython 3.11). From
+compiles once per n in a process (README gives the measured costs). From
 VECTOR_SWEEP_MIN_N roots on, a sweep moves all roots at once in numpy; both
 sweeps pass one backward-error gate. numpy is imported only where an array
-is built, so a smaller ring is solved without loading it. A repeat
-`eigenvalues` call on the same ring object returns the same Spectrum.
+is built, so a smaller ring is solved without loading it.
 
 Every tolerance is a dimensionless factor times the size of what it compares
 (a backward error; PAIR_TOL and the polish radius the largest |mu|; AXIS_TOL
@@ -54,7 +52,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from operator import sub
+from operator import attrgetter, sub
 
 from .model import AdjacencyMatrix, Record, RingParams, require_valid
 
@@ -67,10 +65,20 @@ EIGENVECTOR_RESIDUAL_TOL = 1e-9
 VECTOR_SWEEP_MIN_N = 13  # measured crossover of the two Aberth sweeps
 _memo = None  # (params, Spectrum) of the last solve, swapped whole
 _rotations = functools.cache(lambda n, turn: tuple(cmath.exp(2j * math.pi * (k + turn) / n) for k in range(n)))
+_real, _imag, _value_order = attrgetter("real"), attrgetter("imag"), attrgetter("real", "imag")
+_pairing_order = lambda m: (m.real, abs(m.imag), m.imag)  # noqa: E731  by real part, nearer the axis first
 
 
 class RootFindingError(RuntimeError):
     """The roots failed the backward-error gate or the power-sum check, or a polynomial is not finite."""
+
+
+class CouplingUnderflowError(ValueError):
+    """c = (-1)^(n+1) b_1 ... b_n underflowed to 0.0 though no b_j is 0: the float c is not the ring's."""
+
+    def __init__(self, b):
+        super().__init__("the coupling product b_1 ... b_n underflows to 0.0 though no b_j is 0: the binary "
+                         f"exponents of the b_j sum to {sum(math.frexp(v)[1] for v in b)}")
 
 
 class ZeroCouplingError(ValueError):
@@ -200,10 +208,15 @@ def backward_error(params: RingParams, z: complex) -> float:
 
 
 def _eval_points(a, c: float, z):
-    """p, p' and eta at each point of z: by _eval_at below VECTOR_SWEEP_MIN_N roots, else from
-    one (n x len(z)) product, and by _eval_at where a factor a_j - z is 0 or a value overflows."""
+    """p, p' and eta at each point of z: by _eval_at below VECTOR_SWEEP_MIN_N roots, else by _eval_array."""
     if len(a) < VECTOR_SWEEP_MIN_N:
         return zip(*[_eval_at(a, c, m) for m in z])
+    return _eval_array(a, c, z)
+
+
+def _eval_array(a, c: float, z):
+    """p, p' and eta at each point of z from one (n x len(z)) product in numpy, and by _eval_at
+    where a factor a_j - z is 0 or a value overflows."""
     import numpy as np
     av = np.array(a)
     with np.errstate(all="ignore"):
@@ -223,7 +236,7 @@ def _eval_points(a, c: float, z):
 def _vector_sweep(a, c: float, z, eta, active, start):
     """One Jacobi sweep: every moving root steps at once, over (n x moving) arrays."""
     import numpy as np
-    p, dp, eta[active] = _eval_points(a, c, z[active])
+    p, dp, eta[active] = _eval_array(a, c, z[active])
     keep = ~(eta[active] <= FREEZE_TOL)
     moving, p, dp, zk = active[keep], p[keep], dp[keep], z[active[keep]]
     with np.errstate(all="ignore"):
@@ -280,9 +293,12 @@ def _sweep_source(n: int) -> str:
     def step(k):  # _eval_at at z_k, a factor a line, and the Aberth step
         return [
             f"if not e_{k} <= freeze:",
-            f"    prod = 1.0 + 0.0j; dp = 0.0j; mod = 1.0; scale = 0.0; az = abs(z_{k})",
+            f"    prod = 1.0 + 0.0j; dp = 0.0j; az = abs(z_{k})",
+            # m_0 + az, ad are 0.0 |d| + (m_0 + az) 1.0, 1.0 |d| but where z is not finite (eta inf); the
+            # last factor's mod is unused
             *(f"    d = a_{j} - z_{k}; dp = dp * d - prod; prod *= d; ad = abs(d); "
-              f"scale = scale * ad + (m_{j} + az) * mod; mod *= ad" for j in roots),
+              + (f"scale = scale * ad + (m_{j} + az) * mod" if j else "scale = m_0 + az")
+              + ("" if j == n - 1 else "; mod *= ad" if j else "; mod = ad") for j in roots),
             "    p = prod + c; scale = scale + absc",
             "    try:",
             f"        e_{k} = abs(p) / scale if scale else 0.0",
@@ -291,15 +307,15 @@ def _sweep_source(n: int) -> str:
             f"    e_{k} = e_{k} if e_{k} == e_{k} and scale < inf else inf",
             f"    if not e_{k} <= freeze:",
             "        s = 0.0j",
-            *(f"        if z_{k} != z_{j}: s += 1.0 / (z_{k} - z_{j})" for j in roots if j != k),
+            *(f"        if z_{k} != z_{j}: s += (1+0j) / (z_{k} - z_{j})" for j in roots if j != k),
             f"        new = z_{k} - p / (dp - p * s)",
             f"        z_{k} = new if e_{k} < inf and isfinite(new) else start[{k}]",
         ]
 
     return "\n".join([
         "def aberth(a, c, freeze, start):",
-        f"    {each('a_{}')}, = a",
-        f"    {each('m_{}')}, = {each('abs(a_{})')},",
+        f"    {each('m_{}')}, = map(abs, a)",
+        f"    {each('a_{}')}, = map(complex, a)",  # as a float operand would be converted, op by op
         "    absc = abs(c)",
         f"    {each('z_{}')}, = start",
         f"    {each('e_{}', ' = ')} = inf",
@@ -324,10 +340,10 @@ def _aberth_roots(a, c: float):
     and left a simple root out; a second start, turned by half a step, gets one try.
     """
     n = len(a)
-    radius = abs(c) ** (1.0 / n)
+    radius = complex(abs(c) ** (1.0 / n))  # as a float operand would be converted, op by op
     sweeps = 0
     for turn in (0.25, 0.75):
-        start = [v + radius * w for v, w in zip(a, _rotations(n, turn))]
+        start = [radius * w + v for v, w in zip(a, _rotations(n, turn))]
         if n >= VECTOR_SWEEP_MIN_N:
             taken, z, eta = _vector_roots(a, c, start)
         else:  # FREEZE_TOL is read here, so a cached kernel stops roots at its current value
@@ -338,8 +354,8 @@ def _aberth_roots(a, c: float):
             continue
         # c is the constant term only, so it leaves the first two power sums alone
         s1 = s2 = r1 = r2 = 0.0
-        for m in z:  # one pass; the gate's evaluation took each abs(m) already, so none overflows
-            s1, s2, r1, r2 = s1 + m, s2 + m * m, r1 + abs(m), r2 + abs(m) * abs(m)
+        for m, am in zip(z, map(abs, z)):  # the gate's evaluation took each abs(m), so none overflows
+            s1, s2, r1, r2 = s1 + m, s2 + m * m, r1 + am, r2 + am * am
         for k, got, mods, terms in ((1, s1, r1, a), (2, s2, r2, [v * v for v in a])):
             try:
                 want, scale = math.fsum(terms), math.fsum(map(abs, terms)) + mods
@@ -359,17 +375,20 @@ def _symmetrise_conjugates(roots, real_ok=lambda x: True) -> list[complex]:
     """Force the root multiset to be exactly self-conjugate.
 
     A root within PAIR_TOL times the spectral radius of the real axis is
-    real, unless the conjugate of some root lies nearer to it than its own
+    real, unless the conjugate of some root r lies nearer to it than its own,
+    w = 2 |Im mu| away (past mu.real -+ w, as rounded, |Re(mu - conj r)| >= w),
     and real_ok rejects its real part. Each other root above the axis is
     paired with the nearest conjugate of a root below it.
     """
     out, above, below = [], [], []  # below holds the conjugates of the roots below the axis
-    roots = sorted(map(complex, roots), key=lambda m: (m.real, abs(m.imag), m.imag))
+    roots = sorted(map(complex, roots), key=_pairing_order)
     pair_tol = PAIR_TOL * max(map(abs, roots))
-    for mu in roots:
+    for i, mu in enumerate(roots):
         if abs(mu.imag) <= pair_tol:
             w = 2 * abs(mu.imag)  # mu's own conjugate lies exactly w away
-            if not any(abs(mu - r.conjugate()) < w for r in roots) or real_ok(mu.real):
+            lo = bisect.bisect_left(roots, mu.real - w, 0, i, key=_real)
+            hi = bisect.bisect_right(roots, mu.real + w, i + 1, key=_real)
+            if hi - lo == 1 or not any(abs(mu - r.conjugate()) < w for r in roots[lo:hi]) or real_ok(mu.real):
                 out.append(complex(mu.real, 0.0))
                 continue
         above.append(mu) if mu.imag > 0 else below.append(mu.conjugate())
@@ -380,7 +399,7 @@ def _symmetrise_conjugates(roots, real_ok=lambda x: True) -> list[complex]:
         below.remove(partner)
         half = (mu + partner) / 2.0
         out += [half, half.conjugate()]
-    out.sort(key=lambda m: (m.real, m.imag))
+    out.sort(key=_value_order)
     return out
 
 
@@ -439,7 +458,9 @@ def _polish_clusters(roots, a, c: float) -> list[complex]:
     if c == 0:
         return roots
     tol, out = 1e-6 * max(map(abs, roots)), list(roots)
-    for i, j in (g for g in _clusters(roots, tol) if len(g) == 2):
+    if not (groups := _clusters(roots, tol)):
+        return roots
+    for i, j in (g for g in groups if len(g) == 2):
         s, centre = sorted(a), (roots[i] + roots[j]) / 2
         k = bisect.bisect_right(s, centre.real) - 1
         if 0 <= k < len(s) - 1 and s[k] < centre.real:
@@ -459,7 +480,7 @@ def axis_pairs(roots) -> list[list[complex]]:
     """
     on_axis = [m for m in roots if abs(m.real) < AXIS_TOL * abs(m) < m.imag]
     groups = []
-    for m in sorted(on_axis, key=lambda m: m.imag):
+    for m in sorted(on_axis, key=_imag):
         if groups and m.imag - groups[-1][-1].imag <= AXIS_TOL * abs(m):
             groups[-1].append(m)
         else:
@@ -473,8 +494,8 @@ def _axis_omega(roots) -> float | None:
 
 
 def eigenvalues(params: RingParams) -> Spectrum:
-    """All n eigenvalues of the ring Jacobian, each with backward error <= RESIDUAL_TOL;
-    a repeat call on the same params object returns the same Spectrum."""
+    """All n eigenvalues of the ring Jacobian, each with backward error <= RESIDUAL_TOL (CouplingUnderflowError
+    where c is 0.0 though no b_j is); a repeat call on the same params object returns the same Spectrum."""
     global _memo
     memo = _memo  # keyed on identity: equal rings may differ in the sign of a zero
     if not (memo and memo[0] is params):
@@ -485,6 +506,8 @@ def eigenvalues(params: RingParams) -> Spectrum:
 def _solve(params: RingParams) -> Spectrum:
     require_valid(params)
     a, c = params.a, params.coupling_product()
+    if c == 0.0 and all(params.b):
+        raise CouplingUnderflowError(params.b)
     roots, sweeps = _aberth_roots(a, c)
     # polish first: the two halves of a double root may both stop off the axis
     roots = _polish_clusters(roots, a, c)

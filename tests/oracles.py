@@ -13,7 +13,9 @@ the package under test, so disagreements point at the implementation:
   * the least distance between values and their close clusters by comparing
     every pair, the clusters by union-find,
   * the scalar Aberth sweeps as a loop over lists of roots, with the
-    product-form evaluation they call,
+    product-form evaluation they call, and the clean-up after them (the
+    close-pair polish, the conjugate symmetrisation scanning every root,
+    every root evaluated) as it stood before it was trimmed,
   * constructions of rings with prescribed spectral features (an imaginary
     pair, a double eigenvalue, a 5-node 2:1 resonance).
 
@@ -24,6 +26,7 @@ and steering c places roots wherever A permits.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 
@@ -508,3 +511,64 @@ def list_aberth_sweeps(a, c: float, freeze: float, start):
     except (OverflowError, ZeroDivisionError):
         eta = [math.inf] * n
     return sweeps, z, eta
+
+
+def symmetrise_conjugates(roots, real_ok=lambda x: True) -> list[complex]:
+    """The root multiset made exactly self-conjugate, each near-real root tested against the conjugate
+    of every root; ValueError, with the package's text, where the roots off the axis do not pair."""
+    out, above, below = [], [], []
+    roots = sorted(map(complex, roots), key=lambda m: (m.real, abs(m.imag), m.imag))
+    pair_tol = 1e-8 * max(map(abs, roots))
+    for mu in roots:
+        if abs(mu.imag) <= pair_tol:
+            w = 2 * abs(mu.imag)
+            if not any(abs(mu - r.conjugate()) < w for r in roots) or real_ok(mu.real):
+                out.append(complex(mu.real, 0.0))
+                continue
+        above.append(mu) if mu.imag > 0 else below.append(mu.conjugate())
+    if len(above) != len(below):
+        raise ValueError(f"{len(above)} roots above the real axis but {len(below)} below it")
+    for mu in above:
+        partner = min(below, key=lambda m: abs(mu - m))
+        below.remove(partner)
+        half = (mu + partner) / 2.0
+        out += [half, half.conjugate()]
+    out.sort(key=lambda m: (m.real, m.imag))
+    return out
+
+
+def untrimmed_clean_up(params: RingParams, roots, sweeps: int, critical_point) -> dict | str:
+    """The fields of the Spectrum that the Aberth roots and sweeps of params gave before the clean-up
+    after the sweep was trimmed, or the text of its error: each close pair of roots snapped onto the
+    critical point of its gap, critical_point(sorted a, k) (passed in), where that lies as close and
+    passes the gate; the conjugates symmetrised; every root evaluated by `eval_at` and gated."""
+    a, c, tol = params.a, float((-1) ** (params.n + 1) * math.prod(params.b)), 1e-10
+    if c != 0:
+        near, roots = 1e-6 * max(map(abs, roots)), list(roots)
+        for i, j in (g for g in union_find_clusters(roots, near) if len(g) == 2):
+            s, centre = sorted(a), (roots[i] + roots[j]) / 2
+            k = bisect.bisect_right(s, centre.real) - 1
+            if 0 <= k < len(s) - 1 and s[k] < centre.real:
+                xi = critical_point(s, k)
+                if abs(xi - centre) < near and eval_at(a, c, xi)[2] <= tol:
+                    roots[i] = roots[j] = complex(xi)
+    try:
+        roots = symmetrise_conjugates(roots, lambda x: eval_at(a, c, x)[2] <= tol)
+    except ValueError as exc:
+        return str(exc)
+    values = [eval_at(a, c, m) for m in roots]
+    etas = [eta for _, _, eta in values]
+    failed = [e for e in etas if not e <= tol]
+    if failed:
+        return (f"symmetrised roots: worst backward error {max(failed):.3e} exceeds the threshold {tol:.3e} "
+                f"({len(failed)} of {len(etas)} roots)")
+    on_axis = sorted((m for m in roots if abs(m.real) < 1e-8 * abs(m) < m.imag), key=lambda m: m.imag)
+    return {
+        "eigenvalues": tuple(roots),
+        "residuals": tuple(abs(p) for p, _, _ in values),
+        "pair_tolerance": 1e-8,
+        "tau": float(sum(a)),
+        "omega": float(on_axis[0].imag) if on_axis else None,
+        "iterations": sweeps,
+        "backward_error": float(max(etas)),
+    }

@@ -375,6 +375,16 @@ def test_analyze_exact_b3_underflow_is_one_error_line(tmp_path):
                                         "b3 = (a1+a2)(a1+a3)(a2+a3) / (b1*b2) divides by it"]
 
 
+@pytest.mark.parametrize("command", ["spectrum", "perturb"])
+def test_a_coupling_product_that_underflows_is_one_error_line(capsys, tmp_path, command):
+    path = tmp_path / "tiny.json"
+    save(RingParams(3, (-1.0, 2.0, 3.5), (1e-200,) * 3), path)
+    code, out, err = run(capsys, [command, str(path)])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == ("error: the coupling product b_1 ... b_n underflows to 0.0 though no b_j is 0: the binary "
+                   "exponents of the b_j sum to -1992\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize(
     "command, option",

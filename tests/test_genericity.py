@@ -22,8 +22,8 @@ from ringhopf.genericity import (
     resonance_poly,
 )
 from ringhopf.model import AdjacencyMatrix, RingParams
-from ringhopf.spectra import RootFindingError, a_poly_coeffs, adjacency_spectrum, eigenvalues
-from ringhopf.spectra import Spectrum
+from ringhopf.spectra import CouplingUnderflowError, RootFindingError, a_poly_coeffs, adjacency_spectrum
+from ringhopf.spectra import Spectrum, eigenvalues
 
 
 def test_detect_double_eigenvalue():
@@ -656,3 +656,12 @@ def test_all_zero_spectra_cluster_at_a_positive_default_gap_tol():
     result = remove_multiple(ring, 1e-3)
     assert result.removed[0] == "zero coupling b[0] replaced by 0.0005"
     assert result.achieved_gap > 0
+
+
+@pytest.mark.parametrize("b, exponents", [((1e-200,) * 3, -1992), ((0.0, 1e-200, 1e-200), -1338)])
+def test_a_coupling_product_that_underflows_is_a_named_error(b, exponents):
+    # the true c is 1e-600, or (with b_1 made epsilon/2 = 5e-4) 5e-404: neither is 0, although the
+    # float product is; the first ring came back unchanged with margin 0.0, the second raised
+    # PerturbationBudgetError naming c = 0.0
+    with pytest.raises(CouplingUnderflowError, match=rf"the binary exponents of the b_j sum to {exponents}$"):
+        remove_multiple(RingParams(3, (-1, 2, 3.5), b), 1e-3)

@@ -40,6 +40,7 @@ def test_layer_timings_run_at_n_3(tmp_path):
     assert (os.sched_getaffinity(0), spectra.VECTOR_SWEEP_MIN_N) == (cpus, crossover)
     assert [name for name, *_ in rows] == [
         "Aberth kernel compile",
+        "Aberth kernel, first turn",
         "eigenvalues, scalar sweep",
         "eigenvalues, vector sweep",
         "char_poly",
@@ -88,8 +89,8 @@ def test_cli_rows_time_every_subcommand_as_a_child():
     cpus = os.sched_getaffinity(0)
     rows = layers.main(["--sizes", "3", "--repeat", "1", "--cli", "1"])
     assert os.sched_getaffinity(0) == cpus
-    assert len(rows) == 11 + 9  # the default rows come first, unchanged
-    cli_rows = rows[11:]
+    assert len(rows) == 12 + 9  # the default rows come first, unchanged
+    cli_rows = rows[12:]
     assert [name for name, *_ in cli_rows] == [
         "python -c pass",
         "python -c 'import numpy'",
@@ -118,7 +119,7 @@ def test_tier1_row_times_one_run_of_the_suite_as_a_child(monkeypatch, tmp_path):
     monkeypatch.setattr(layers, "TIER1", [sys.executable, "-c", stub])
     path = tmp_path / "layers.json"
     rows = layers.main(["--sizes", "3", "--repeat", "1", "--tier1", "--json", str(path)])
-    assert len(rows) == 11 + 1  # the default rows come first, unchanged
+    assert len(rows) == 12 + 1  # the default rows come first, unchanged
     assert rows[-1][:2] == ("tier-1 suite", 0) and 0 < rows[-1][2] < 60e6 and rows[-1][3] == 3
     # the seconds of each test file, summed over its duration rows
     (run,) = json.loads(path.read_text())

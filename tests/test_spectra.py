@@ -18,6 +18,7 @@ from ringhopf.genericity import detect_multiple, remove_multiple, remove_resonan
 from ringhopf.model import AdjacencyMatrix, AdmissibleOdeFamily, RingParams, time_rescale
 from ringhopf.spectra import (
     RootFindingError,
+    Spectrum,
     ZeroCouplingError,
     adjacency_spectrum,
     char_poly,
@@ -434,10 +435,14 @@ def test_vector_sweep_on_a_ring_whose_factors_overflow_warns_of_nothing():
 
 def test_start_points_past_the_float_range_fail_both_sweeps_by_overflow():
     # abs() of a factor a_j - z raises OverflowError in the first sweep of each; its catch
-    # makes every eta inf and keeps the starts, one sweep counted
-    n = spectra.VECTOR_SWEEP_MIN_N
-    got = spectra._vector_roots((-1.5e308,) * n, 1.0, [1.5e308j] * n)
-    assert got == (1, [1.5e308j] * n, [math.inf] * n)
+    # makes every eta inf and keeps the starts, one sweep counted. The vector sweep evaluates
+    # in numpy below VECTOR_SWEEP_MIN_N too, where _eval_points' scalar branch made it raise
+    # TypeError (and RuntimeWarning under -W error)
+    for n in (spectra.VECTOR_SWEEP_MIN_N - 1, spectra.VECTOR_SWEEP_MIN_N):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectra._vector_roots((-1.5e308,) * n, 1.0, [1.5e308j] * n)
+        assert got == (1, [1.5e308j] * n, [math.inf] * n)
     got = spectra._sweep_kernel(3)((-1.5e308,) * 3, 1.0, spectra.FREEZE_TOL, [1.5e308j] * 3)
     assert got == (1, [1.5e308j] * 3, [math.inf] * 3)
 
@@ -774,6 +779,82 @@ def test_sweep_kernel_equals_the_list_sweep_bit_for_bit(n, monkeypatch):
         after = _aberth_outcome(monkeypatch, kernel, a, c)
         assert after != outcomes[1]
         assert after == _aberth_outcome(monkeypatch, oracle, a, c)
+
+
+def _clean_up_outcomes(r) -> tuple[str, str]:
+    """The repr of eigenvalues(r), or its error's text, and the same from the sweep's roots through
+    `oracles.untrimmed_clean_up`."""
+    try:
+        got = repr(eigenvalues(r))
+    except RootFindingError as exc:
+        got = str(exc)
+    try:
+        roots, sweeps = spectra._aberth_roots(r.a, r.coupling_product())
+    except RootFindingError as exc:
+        return got, str(exc)
+    want = oracles.untrimmed_clean_up(r, roots, sweeps, spectra._critical_point)
+    return got, want if isinstance(want, str) else repr(Spectrum(**want))
+
+
+# a triple a_j and couplings near 1e-12: the three roots by it stop about 1e-14 off the axis and
+# apart, and each has the conjugate of another nearer than its own, at a real part 0.58-0.89 w away
+# (w twice its distance from the axis); the two found among 20,000 random rings with such couplings
+NEARER_CONJUGATE_RINGS = (
+    RingParams(6, (-1.0, 2.0, -2.0, 0.0, 2.0, 2.0), (2.997878539929866e-12, 2.0568684087607456e-12,
+               -2.0063773084946116e-12, 2.8330567574987636e-12, -8.327802036506065e-13, -2.653708377807393e-12)),
+    RingParams(7, (2.0, -2.0, 1.0, 2.0, 1.0, 0.0, 1.0), (5.194774801222941e-12, -3.2977182214567864e-12,
+               -2.579167851806613e-13, -4.788942176762182e-12, -2.3026343108602723e-12, 5.83099898836352e-12,
+               -4.0389015662806574e-12)),
+)
+
+
+@pytest.mark.parametrize("n", range(3, spectra.VECTOR_SWEEP_MIN_N))
+def test_the_clean_up_after_the_sweep_equals_the_untrimmed_one(n):
+    # repr keeps every bit, so the polish, the symmetrisation and the final evaluation give what
+    # they gave before they were trimmed, error texts included: random rings at three scales, rings
+    # with a double root and a Hopf pair, and the edge rings of the kernel's bit-for-bit test
+    rng = np.random.default_rng([n, 32])
+    rest = tuple(float(v) for v in range(4, n + 1))
+    rings = [RingParams(n, tuple(s * rng.uniform(-3, 3, n)), tuple(s * rng.uniform(-3, 3, n)))
+             for _ in range(8) for s in (1e-4, 1.0, 1e4)]
+    rings += [oracles.construct_grid_double_ring(n, rng)[0] for _ in range(3)]
+    rings += [oracles.construct_hopf_ring(n, rng)[0] for _ in range(3)]
+    rings += [
+        RingParams(n, (1e155, 2e155, -3e155) + rest, (1.0,) * n),  # the product overflows
+        RingParams(n, (1e308, 1e308, 0.0) + rest, (0.0,) + (1.0,) * (n - 1)),  # c = 0, a step divides by 0
+        RingParams(n, (1.0,) * n, (1e-20,) * n),  # the roots stay off the axis by 1e-20
+        RingParams(n, (0.0, 0.0, 3.0) + rest, (1.0,) * n),
+        RingParams(n, (0.0,) * n, (0.0,) + (1.0,) * (n - 1)),  # a zero of multiplicity n
+        RingParams(n, (1.0, -2.0, -3.0) + rest, (1e200, 1e200, 0.0) + (1.0,) * (n - 3)),  # c = NaN
+    ]
+    rings += [r for r in NEARER_CONJUGATE_RINGS if r.n == n]
+    for r in rings:
+        got, want = _clean_up_outcomes(r)
+        assert got == want, r
+    if n == 3:
+        assert [_clean_up_outcomes(r)[0] for r in rings[-6:-4]] == [
+            "worst backward error inf exceeds the threshold 1.000e-10 (3 of 3 roots) after 1000 sweeps",
+            "worst backward error inf exceeds the threshold 1.000e-10 (3 of 3 roots) after 2 sweeps",
+        ]
+        assert _clean_up_outcomes(rings[-4])[0] == "2 roots above the real axis but 1 below it"
+
+
+def test_the_near_real_scan_equals_the_scan_of_every_root():
+    # roots near the axis in clusters whose spread is of the order of their distance from it, so a
+    # conjugate other than a root's own often lies nearer, at a real part up to 2 |Im| away
+    rng = np.random.default_rng(33)
+    for _ in range(2000):
+        centres = rng.uniform(-1, 1, int(rng.integers(1, 4)))
+        y = 10.0 ** rng.uniform(-12, -9)
+        roots = [x + y * complex(rng.uniform(-2, 2), rng.uniform(-1, 1)) for x in centres for _ in range(3)]
+        real_ok = bool(rng.integers(2))
+        try:
+            want = oracles.symmetrise_conjugates(roots, lambda x: real_ok)
+        except ValueError as exc:
+            with pytest.raises(RootFindingError, match=f"^{exc}$"):
+                spectra._symmetrise_conjugates(roots, lambda x: real_ok)
+        else:
+            assert repr(spectra._symmetrise_conjugates(roots, lambda x: real_ok)) == repr(want)
 
 
 def test_small_rings_stay_on_the_scalar_sweep(monkeypatch):

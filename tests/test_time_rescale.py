@@ -20,7 +20,7 @@ from ringhopf.hopf import NotAHopfPointError, detect_imaginary_pair, hopf_condit
 from ringhopf.model import AdmissibleOdeFamily, RingParams, save, time_rescale
 from ringhopf.phases import phase_shifts
 from ringhopf.simulate import find_limit_cycle
-from ringhopf.spectra import Spectrum, eigenvalues
+from ringhopf.spectra import CouplingUnderflowError, Spectrum, eigenvalues
 
 NON_HOPF_RING = RingParams(3, (1.0, -2.0, -3.0), (1.0, 1.0, -7.0))
 # a Hopf pair at +-1e-3 i beside a root at -1e6: at n = 3 so low a pair needs a_2 + a_3 to cancel
@@ -239,3 +239,14 @@ def test_k_to_1_resonances_compare_frequencies_at_their_own_size(delta):
     resonant = detect_resonance(spectrum(delta, 2 * delta * (1 + 5e-10)), 3)
     assert [(f.k, f.omega / delta) for f in resonant] == [(2, 1.0)]
     assert detect_resonance(spectrum(delta, 2.5 * delta), 3) == []
+
+
+def test_a_time_unit_that_underflows_the_coupling_product_is_a_named_error():
+    # at 2^-130 the Hopf pair scales with the ring; at 2^-140 c = b_1 ... b_8 underflows to 0.0,
+    # which returned the a_j as the spectrum, with omega None
+    ring = oracles.construct_hopf_ring(8, np.random.default_rng(3))[0]
+    omega = eigenvalues(ring).omega
+    assert eigenvalues(time_rescale(ring, 2.0**-130)).omega == pytest.approx(omega * 2.0**-130, rel=1e-12)
+    assert math.prod(ring.b) != 0.0 == time_rescale(ring, 2.0**-140).coupling_product()
+    with pytest.raises(CouplingUnderflowError, match="binary exponents of the b_j sum to -1108$"):
+        eigenvalues(time_rescale(ring, 2.0**-140))

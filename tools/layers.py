@@ -7,7 +7,9 @@ For each ring size, the scalar Aberth kernel is compiled afresh
 (`spectra._sweep_kernel`, its cache cleared before each pass), which is what
 a process pays the first time it solves a ring of that size; the rows after
 it find the kernel compiled. Then the same RINGS random rings (a_j, b_j ~
-U(-3, 3), fixed seed) go through `eigenvalues` on each Aberth sweep,
+U(-3, 3), fixed seed) go through the kernel alone from the start points of
+its first turn, so that `eigenvalues` on the scalar sweep less that row is
+the work around the sweep, then through `eigenvalues` on each Aberth sweep,
 `char_poly`, the two forbidden sets (k <= 3), `remove_multiple` and
 `remove_resonances`, and RINGS rings with an axis pair through
 `phase_shifts`; one RK4 step and one `find_limit_cycle` hunt (settle time
@@ -124,6 +126,17 @@ def compile_kernel(n: int) -> None:
     spectra._sweep_kernel(n)
 
 
+def first_turns(batch) -> list[tuple]:
+    """The scalar kernel's arguments for each ring's first turn, with the start points of `_aberth_roots`."""
+    out = []
+    for r in batch:
+        c = r.coupling_product()
+        radius = complex(abs(c) ** (1.0 / r.n))
+        start = [radius * w + v for v, w in zip(r.a, spectra._rotations(r.n, 0.25))]
+        out.append((r.a, c, spectra.FREEZE_TOL, start))
+    return out
+
+
 def measure(sizes, repeat: int) -> list[tuple[str, int, float, int, list[float]]]:
     """(layer, n, best microseconds per call, calls that raised, every pass's microseconds per call),
     one row per layer and size."""
@@ -131,6 +144,8 @@ def measure(sizes, repeat: int) -> list[tuple[str, int, float, int, list[float]]
     for n in sizes:
         batch = rings(n)
         rows.append(("Aberth kernel compile", n, *per_call(compile_kernel, [n], repeat)))
+        turn = lambda args, kernel=spectra._sweep_kernel(n): kernel(*args)
+        rows.append(("Aberth kernel, first turn", n, *per_call(turn, first_turns(batch), repeat)))
         for name, vector in (("eigenvalues, scalar sweep", False), ("eigenvalues, vector sweep", True)):
             with sweep(vector):
                 rows.append((name, n, *per_call(spectra.eigenvalues, batch, repeat)))
