@@ -66,7 +66,7 @@ VECTOR_SWEEP_MIN_N = 13  # measured crossover of the two Aberth sweeps
 _memo = None  # (params, Spectrum) of the last solve, swapped whole
 _rotations = functools.cache(lambda n, turn: tuple(cmath.exp(2j * math.pi * (k + turn) / n) for k in range(n)))
 _real, _imag, _value_order = attrgetter("real"), attrgetter("imag"), attrgetter("real", "imag")
-_pairing_order = lambda m: (m.real, abs(m.imag), m.imag)  # noqa: E731  by real part, nearer the axis first
+_pairing_order = lambda m: (m.real, abs(m.imag), m.imag)  # by real part, nearer the axis first
 
 
 class RootFindingError(RuntimeError):
@@ -294,8 +294,8 @@ def _sweep_source(n: int) -> str:
         return [
             f"if not e_{k} <= freeze:",
             f"    prod = 1.0 + 0.0j; dp = 0.0j; az = abs(z_{k})",
-            # m_0 + az, ad are 0.0 |d| + (m_0 + az) 1.0, 1.0 |d| but where z is not finite (eta inf); the
-            # last factor's mod is unused
+            # the first factor's scale and mod are 0.0 |d| + (m_0 + az) 1.0 and 1.0 |d| unless z is not
+            # finite, and then eta is inf either way; the last factor's mod is never read
             *(f"    d = a_{j} - z_{k}; dp = dp * d - prod; prod *= d; ad = abs(d); "
               + (f"scale = scale * ad + (m_{j} + az) * mod" if j else "scale = m_0 + az")
               + ("" if j == n - 1 else "; mod *= ad" if j else "; mod = ad") for j in roots),
